@@ -83,7 +83,7 @@ impl SchedProbe {
 
 /// Observation state a probed run fills in: per-leaf protocol monitors,
 /// one monitor on the root link of every muxed channel, a digest of the
-/// final backing store, and the scheduler's skip accounting.
+/// final backing store, and the scheduler's skip and parking accounting.
 #[derive(Debug, Default)]
 pub struct RunProbe {
     /// One monitor per bus-attached leaf port, channel by channel in
@@ -101,6 +101,10 @@ pub struct RunProbe {
     /// Idle spans the event-driven scheduler fast-forwarded (all zeros in
     /// lockstep mode).
     pub sched: SchedProbe,
+    /// Engine ticks event mode replaced by replayed bookkeeping while the
+    /// engine was parked on its leaf port, waiting for R/B beats or AR
+    /// space (always 0 in lockstep mode).
+    pub parked_ticks: u64,
 }
 
 impl RunProbe {

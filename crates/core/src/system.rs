@@ -27,8 +27,8 @@
 //! own adapter and optionally a DRAM-style row-buffer timing model.
 //!
 //! One loop advances simulated time for every run, solo or shared: the
-//! fabric loop below. It owns the event-skip gate, the watchdog, hang
-//! forensics, fault isolation and report assembly.
+//! fabric loop below. It owns the event-skip gate, engine parking, the
+//! watchdog, hang forensics, fault isolation and report assembly.
 
 use std::borrow::Cow;
 
@@ -1190,6 +1190,14 @@ fn mark_finished(engines: &[Engine], done_at: &mut [Option<u64>], cycle: u64) ->
     finished
 }
 
+/// Replays the ticks a parked engine skipped from cycle `since` up to
+/// `cycles`; returns how many it replayed.
+fn replay_parked(engine: &mut Engine, since: u64, cycles: u64) -> u64 {
+    let span = cycles - since;
+    engine.fast_forward(span);
+    span
+}
+
 /// The run loop — the only code that advances simulated time. Engines
 /// run in private windows; bus-attached ones tick into leaf ports of
 /// their channel's mux tree, IDEAL ones straight into the channel's
@@ -1271,6 +1279,12 @@ fn run_fabric(
     let mut sched_stats = SchedProbe::default();
     let mut watchdog = Watchdog::new(sys.watchdog);
     let event = sys.sched == SchedMode::Event;
+    // Event mode parks a bus-attached engine whose leaf-aware wake is
+    // `Idle`, stamped with the cycle of its first skipped tick: it is not
+    // ticked until its leaf shows input, and `fast_forward` then replays
+    // the skipped ticks before anything reads its state.
+    let mut parked: Vec<Option<u64>> = vec![None; engines.len()];
+    let mut parked_ticks = 0u64;
     while live > 0 || !channels_hw.iter().all(ChannelHw::drained) {
         // Event mode's skip gate: every channel drained. Then no beat can
         // reach any engine without some engine acting first, so the live
@@ -1280,6 +1294,13 @@ fn run_fabric(
         // with no deadline anywhere a genuine deadlock must tick normally
         // into the max_cycles error, exactly as lockstep would.
         if event && channels_hw.iter().all(ChannelHw::drained) {
+            // Parked engines rejoin first, so the merge below sees every
+            // live engine exactly as lockstep would.
+            for (engine, slot) in engines.iter_mut().zip(&mut parked) {
+                if let Some(since) = slot.take() {
+                    parked_ticks += replay_parked(engine, since, cycles);
+                }
+            }
             let mut wake = Wake::Idle;
             for (engine, done) in engines.iter().zip(&done_at) {
                 if done.is_none() {
@@ -1321,7 +1342,24 @@ fn run_fabric(
             match slots[i] {
                 Some((c, j)) => {
                     let hw = &mut channels_hw[c];
-                    engine.tick(Some(&mut hw.leaves[j]), hw.adapter.storage_mut());
+                    let leaf = &mut hw.leaves[j];
+                    if event {
+                        // A parked engine's state is frozen: only input on
+                        // its own leaf can change its wake.
+                        match parked[i] {
+                            Some(_) if !engine.leaf_wakes(leaf) => continue,
+                            Some(since) => {
+                                parked_ticks += replay_parked(engine, since, cycles);
+                                parked[i] = None;
+                            }
+                            None if engine.next_wake_on(leaf) == Wake::Idle => {
+                                parked[i] = Some(cycles);
+                                continue;
+                            }
+                            None => {}
+                        }
+                    }
+                    engine.tick(Some(leaf), hw.adapter.storage_mut());
                 }
                 None => {
                     let hw = &mut channels_hw[placement.channel_of[i]];
@@ -1337,6 +1375,14 @@ fn run_fabric(
         live -= mark_finished(&engines, &mut done_at, cycles);
         let hung = cycles > sys.max_cycles;
         let progress = || {
+            // The signature reads engine statistics: bring parked engines
+            // up to date first (they stay parked).
+            for (engine, slot) in engines.iter_mut().zip(&mut parked) {
+                if let Some(since) = slot {
+                    parked_ticks += replay_parked(engine, *since, cycles);
+                    *since = cycles;
+                }
+            }
             engines
                 .iter()
                 .map(|e| engine_progress(e.stats()))
@@ -1439,6 +1485,7 @@ fn run_fabric(
         }
         p.storage_digest = Some(memory_digest(&composed));
         p.sched = sched_stats;
+        p.parked_ticks = parked_ticks;
     }
     // Fabric endpoint ID of a leaf-port fault: each level of the path
     // stacks its port prefix, exactly as the tree remaps on the way down.

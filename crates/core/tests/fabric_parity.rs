@@ -12,7 +12,8 @@
 //! 8-requestor arity-2 mux tree with two interleaved, row-buffered
 //! memory channels — the deep-fabric path — and demands the event-driven
 //! and lockstep schedulers agree on every observable, the same oracle
-//! the flat corpus replay enforces.
+//! the flat corpus replay enforces, while event mode parks idle engines
+//! on their leaf ports.
 
 use axi_pack::differential::SEED_CORPUS;
 use axi_pack::{
@@ -159,6 +160,7 @@ fn corpus_replays_on_an_eight_requestor_tree_across_modes() {
     };
     let max_vl = mk_sys(SchedMode::Event).kernel_params().max_vl;
     let mut corpus_r_beats = 0u64;
+    let (mut ev_parked, mut lk_parked) = (0u64, 0u64);
     for case in SEED_CORPUS {
         let kinds = [SystemKind::Pack, SystemKind::Base];
         let built = synth::build_kinds(case.seed, &case.cfg, max_vl, &kinds);
@@ -186,6 +188,8 @@ fn corpus_replays_on_an_eight_requestor_tree_across_modes() {
             lk_probe.sched.skip_spans, 0,
             "{ctx}: lockstep mode must never fast-forward"
         );
+        ev_parked += ev_probe.parked_ticks;
+        lk_parked += lk_probe.parked_ticks;
         assert_eq!(ev.cycles, lk.cycles, "{ctx}: completion cycles");
         assert_eq!(
             ev_probe.storage_digest, lk_probe.storage_digest,
@@ -224,10 +228,21 @@ fn corpus_replays_on_an_eight_requestor_tree_across_modes() {
         }
         // One probe monitor per channel watched the root links.
         assert_eq!(ev_probe.roots.len(), 2, "{ctx}: root monitors");
+        // Every remaining field of the system and requestor reports (AR
+        // stalls included, which parking replays): Debug prints each
+        // float exactly, so equal renderings mean equal bits.
+        assert_eq!(format!("{ev:?}"), format!("{lk:?}"), "{ctx}: report");
     }
     assert!(
         corpus_r_beats > 0,
         "no corpus seed moved a response beat through the trees — the \
          level counters are not wired"
+    );
+    // Everything above held while event mode parked engines on their
+    // leaves; lockstep ticks every live engine every cycle.
+    assert_eq!(lk_parked, 0, "lockstep mode must never park an engine");
+    assert!(
+        ev_parked > 0,
+        "no corpus seed parked an engine on the trees"
     );
 }

@@ -125,16 +125,19 @@ impl<T> Fifo<T> {
     /// Commits this cycle's pushes and re-registers the occupancy.
     ///
     /// Must be called exactly once per simulated cycle, after all component
-    /// ticks.
+    /// ticks. A cycle without pushes only re-registers the occupancy: most
+    /// register stages of a large fabric carry nothing in most cycles.
     #[inline]
     pub fn end_cycle(&mut self) {
-        self.queue.append(&mut self.staged);
-        debug_assert!(
-            self.queue.len() <= self.capacity,
-            "fifo overflow: {} > {}",
-            self.queue.len(),
-            self.capacity
-        );
+        if !self.staged.is_empty() {
+            self.queue.append(&mut self.staged);
+            debug_assert!(
+                self.queue.len() <= self.capacity,
+                "fifo overflow: {} > {}",
+                self.queue.len(),
+                self.capacity
+            );
+        }
         self.len_at_cycle_start = self.queue.len();
     }
 

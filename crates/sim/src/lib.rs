@@ -62,7 +62,7 @@ pub use credit::Credit;
 pub use fault::{FaultReport, FaultSpec, HangComponent, HangReport, SiteSchedule};
 pub use fifo::Fifo;
 pub use pipeline::Pipeline;
-pub use sched::{Scheduler, Wake, WakeCond, WakeHeap};
+pub use sched::Wake;
 pub use stats::{Counter, Histogram, Utilization};
 pub use sweep::{PointCtx, SweepSpec};
 

@@ -2,22 +2,12 @@
 //!
 //! The lockstep engine visits every component every cycle, even across long
 //! spans where nothing can progress (a scalar stall, a reduction tail, an
-//! ideal-memory latency countdown). This module provides the primitives a
-//! run loop needs to *fast-forward* across such spans instead:
-//!
-//! * [`Wake`] — a component's self-classification at a cycle boundary:
-//!   ready to do observable work, provably asleep for a known number of
-//!   ticks, or idle until external input arrives. [`Wake::merge`] combines
-//!   per-component answers into a whole-system answer.
-//! * [`WakeCond`] — the descriptive vocabulary of wake conditions
-//!   (FIFO became non-empty, pipeline drained, credit returned, outstanding
-//!   counter hit zero, countdown expired) used by the registry and docs.
-//! * [`WakeHeap`] — a per-component next-wake min-heap with
-//!   generation-stamped lazy cancellation, so re-registering a component's
-//!   wake never has to search the heap.
-//! * [`Scheduler`] — the wake-condition registry tying names, conditions
-//!   and the heap together; run loops feed it per-component [`Wake`]s each
-//!   iteration and ask for the longest provably-idle span.
+//! ideal-memory latency countdown). [`Wake`] is the vocabulary a run loop
+//! needs to *fast-forward* across such spans instead: a component's
+//! self-classification at a cycle boundary — ready to do observable work,
+//! provably asleep for a known number of ticks, or idle until external
+//! input arrives — and [`Wake::merge`], which combines per-component
+//! answers into a whole-system answer.
 //!
 //! The contract that makes skipping sound: a component reporting
 //! [`Wake::Sleep`]`(n)` promises that ticking it `n` times changes nothing
@@ -98,393 +88,6 @@ impl Wake {
     }
 }
 
-/// The kinds of conditions a component registers to be woken on.
-///
-/// Purely descriptive: the scheduler does not interpret the condition, but
-/// registries, docs and debug output use it to say *why* a component is
-/// asleep, and the ARCHITECTURE wake-condition table enumerates which
-/// component uses which.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WakeCond {
-    /// A FIFO the component consumes from became non-empty.
-    FifoNonEmpty,
-    /// A bank/latency pipeline finished draining its in-flight entries.
-    PipelineDrained,
-    /// A credit the component was waiting on was returned.
-    CreditReturned,
-    /// An outstanding-transaction counter hit zero.
-    CounterZero,
-    /// A fixed countdown (scalar stall, reduction tail, memory latency)
-    /// expires after a known number of ticks.
-    Countdown,
-    /// External input only: the component has no deadline of its own.
-    ExternalInput,
-}
-
-impl WakeCond {
-    /// Short human-readable label, for registries and debug output.
-    pub fn describe(self) -> &'static str {
-        match self {
-            WakeCond::FifoNonEmpty => "fifo non-empty",
-            WakeCond::PipelineDrained => "pipeline drained",
-            WakeCond::CreditReturned => "credit returned",
-            WakeCond::CounterZero => "outstanding counter zero",
-            WakeCond::Countdown => "countdown expired",
-            WakeCond::ExternalInput => "external input",
-        }
-    }
-}
-
-impl std::fmt::Display for WakeCond {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.describe())
-    }
-}
-
-/// A heap entry: wake deadline, component index, registration generation.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    cycle: u64,
-    comp: u32,
-    gen: u32,
-}
-
-/// Per-component next-wake min-heap with generation-stamped lazy
-/// cancellation.
-///
-/// Each component has at most one *live* registration. Re-registering or
-/// cancelling bumps the component's generation; superseded heap entries are
-/// discarded lazily when they surface at the top, so neither operation ever
-/// searches the heap. All storage is pre-sized at construction — the
-/// per-cycle operations push into spare capacity and never allocate.
-///
-/// # Examples
-///
-/// ```
-/// use simkit::sched::WakeHeap;
-///
-/// let mut heap = WakeHeap::new(2);
-/// heap.register(0, 10);
-/// heap.register(1, 4);
-/// heap.register(1, 7); // supersedes the cycle-4 entry
-/// assert_eq!(heap.peek(), Some((7, 1)));
-/// heap.cancel(1);
-/// assert_eq!(heap.peek(), Some((10, 0)));
-/// ```
-#[derive(Debug, Clone)]
-pub struct WakeHeap {
-    /// Binary min-heap ordered by `cycle` (ties broken arbitrarily; the
-    /// generation stamp makes stale entries self-identifying).
-    heap: Vec<Entry>,
-    /// Current registration generation per component.
-    gens: Vec<u32>,
-    /// Whether the component's current generation is a live registration.
-    live: Vec<bool>,
-}
-
-impl WakeHeap {
-    /// Creates a heap for `components` components, with all storage
-    /// pre-sized so steady-state operation never allocates.
-    pub fn new(components: usize) -> Self {
-        WakeHeap {
-            // Each component holds at most one live entry, but lazy
-            // cancellation keeps superseded entries around until they
-            // surface; 4x slack covers realistic re-registration churn
-            // between pops without growth.
-            heap: Vec::with_capacity(components.max(1) * 4),
-            gens: vec![0; components],
-            live: vec![false; components],
-        }
-    }
-
-    /// Number of components the heap was built for.
-    pub fn components(&self) -> usize {
-        self.gens.len()
-    }
-
-    // simcheck: hot-path begin -- per-cycle wake bookkeeping; all vectors
-    // are pre-sized in `new` and pushes reuse spare capacity.
-
-    /// Registers (or re-registers) `comp` to wake at absolute `cycle`.
-    ///
-    /// Any previous registration for `comp` is superseded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `comp` is out of range.
-    #[inline]
-    pub fn register(&mut self, comp: usize, cycle: u64) {
-        self.gens[comp] = self.gens[comp].wrapping_add(1);
-        self.live[comp] = true;
-        self.compact_if_full();
-        self.heap.push(Entry {
-            cycle,
-            comp: comp as u32,
-            gen: self.gens[comp],
-        });
-        self.sift_up(self.heap.len() - 1);
-    }
-
-    /// Cancels `comp`'s registration, if any. The stale heap entry is
-    /// discarded lazily.
-    #[inline]
-    pub fn cancel(&mut self, comp: usize) {
-        self.gens[comp] = self.gens[comp].wrapping_add(1);
-        self.live[comp] = false;
-    }
-
-    /// Returns `true` if `comp` currently has a live registration.
-    #[inline]
-    pub fn is_registered(&self, comp: usize) -> bool {
-        self.live[comp]
-    }
-
-    /// The earliest live registration as `(cycle, comp)`, discarding stale
-    /// entries encountered on the way. Does not pop the returned entry.
-    #[inline]
-    pub fn peek(&mut self) -> Option<(u64, usize)> {
-        while let Some(top) = self.heap.first().copied() {
-            let comp = top.comp as usize;
-            if self.live[comp] && self.gens[comp] == top.gen {
-                return Some((top.cycle, comp));
-            }
-            self.pop_top();
-        }
-        None
-    }
-
-    /// Pops the earliest live registration with `cycle <= now`, returning
-    /// the woken component.
-    #[inline]
-    pub fn pop_due(&mut self, now: u64) -> Option<usize> {
-        match self.peek() {
-            Some((cycle, comp)) if cycle <= now => {
-                self.live[comp] = false;
-                self.pop_top();
-                Some(comp)
-            }
-            _ => None,
-        }
-    }
-
-    /// Removes the top heap entry and restores the heap invariant.
-    #[inline]
-    fn pop_top(&mut self) {
-        let last = self.heap.len() - 1;
-        self.heap.swap(0, last);
-        self.heap.pop();
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
-    }
-
-    /// Drops every stale entry when the pre-sized buffer is full, so a
-    /// `register` never grows the allocation in steady state.
-    #[inline]
-    fn compact_if_full(&mut self) {
-        if self.heap.len() < self.heap.capacity() {
-            return;
-        }
-        let gens = &self.gens;
-        let live = &self.live;
-        self.heap
-            .retain(|e| live[e.comp as usize] && gens[e.comp as usize] == e.gen);
-        // Retain compacts in arbitrary order; rebuild the heap bottom-up.
-        // At most one live entry per component survives, so the buffer is
-        // now strictly under capacity.
-        for i in (0..self.heap.len() / 2).rev() {
-            self.sift_down(i);
-        }
-    }
-
-    #[inline]
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.heap[i].cycle < self.heap[parent].cycle {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    #[inline]
-    fn sift_down(&mut self, mut i: usize) {
-        loop {
-            let l = 2 * i + 1;
-            let r = 2 * i + 2;
-            let mut min = i;
-            if l < self.heap.len() && self.heap[l].cycle < self.heap[min].cycle {
-                min = l;
-            }
-            if r < self.heap.len() && self.heap[r].cycle < self.heap[min].cycle {
-                min = r;
-            }
-            if min == i {
-                return;
-            }
-            self.heap.swap(i, min);
-            i = min;
-        }
-    }
-
-    // simcheck: hot-path end
-}
-
-/// Identifier handed out by [`Scheduler::add_component`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompId(usize);
-
-impl CompId {
-    /// The component's index in registration order.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
-/// The wake-condition registry: names and conditions per component, plus
-/// the shared next-wake heap and the idle-span decision.
-///
-/// A run loop uses it in three steps each iteration:
-///
-/// 1. [`Scheduler::note`] every component's current [`Wake`];
-/// 2. ask [`Scheduler::idle_span`] for the longest span in which *every*
-///    component is provably idle (`None` means tick normally — either
-///    someone is ready, or everyone is externally blocked and skipping
-///    would hide a deadlock);
-/// 3. on a skip, fast-forward each component and [`Scheduler::advance`]
-///    the registry clock.
-///
-/// # Examples
-///
-/// ```
-/// use simkit::sched::{Scheduler, Wake, WakeCond};
-///
-/// let mut s = Scheduler::new();
-/// let eng = s.add_component("engine", WakeCond::Countdown);
-/// let bus = s.add_component("bus", WakeCond::FifoNonEmpty);
-/// s.note(eng, Wake::Sleep(5));
-/// s.note(bus, Wake::Idle);
-/// assert_eq!(s.idle_span(), Some(5));
-/// s.advance(5);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Scheduler {
-    names: Vec<&'static str>,
-    conds: Vec<WakeCond>,
-    heap: WakeHeap,
-    /// Components whose last note was `Ready`, one bit per component in
-    /// 64-wide words — a 128-requestor fabric registers hundreds of
-    /// components, so a single `u64` mask is not enough.
-    ready: Vec<u64>,
-    /// Population count of `ready`, so the hot idle-span check stays a
-    /// single compare regardless of word count.
-    ready_count: usize,
-    now: u64,
-}
-
-impl Scheduler {
-    /// Creates an empty registry at cycle 0.
-    pub fn new() -> Self {
-        Scheduler {
-            names: Vec::new(),
-            conds: Vec::new(),
-            heap: WakeHeap::new(0),
-            ready: Vec::new(),
-            ready_count: 0,
-            now: 0,
-        }
-    }
-
-    /// Registers a component with a debug `name` and the [`WakeCond`] it
-    /// characteristically sleeps on. Returns its [`CompId`]. Component
-    /// count is unbounded; all per-component storage is sized here, never
-    /// on the hot path.
-    pub fn add_component(&mut self, name: &'static str, cond: WakeCond) -> CompId {
-        self.names.push(name);
-        self.conds.push(cond);
-        self.heap = WakeHeap::new(self.names.len());
-        self.ready.resize(self.names.len().div_ceil(64), 0);
-        CompId(self.names.len() - 1)
-    }
-
-    /// Number of registered components.
-    pub fn components(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Name and wake condition of a component, for debug output.
-    pub fn describe(&self, id: CompId) -> (&'static str, WakeCond) {
-        (self.names[id.0], self.conds[id.0])
-    }
-
-    /// The registry's current cycle.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    // simcheck: hot-path begin -- per-iteration wake notes and the skip
-    // decision; the heap is pre-sized when components are added.
-
-    /// Records `comp`'s wake for the current cycle boundary.
-    #[inline]
-    pub fn note(&mut self, id: CompId, wake: Wake) {
-        let (word, bit) = (id.0 / 64, 1u64 << (id.0 % 64));
-        let was_ready = self.ready[word] & bit != 0;
-        match wake {
-            Wake::Ready => {
-                self.ready[word] |= bit;
-                self.ready_count += usize::from(!was_ready);
-                self.heap.cancel(id.0);
-            }
-            Wake::Sleep(n) => {
-                self.ready[word] &= !bit;
-                self.ready_count -= usize::from(was_ready);
-                self.heap.register(id.0, self.now + n.max(1));
-            }
-            Wake::Idle => {
-                self.ready[word] &= !bit;
-                self.ready_count -= usize::from(was_ready);
-                self.heap.cancel(id.0);
-            }
-        }
-    }
-
-    /// The longest span for which every noted component is provably idle.
-    ///
-    /// Returns `None` when a component is ready (tick normally) or when no
-    /// component holds a deadline (all externally blocked — skipping would
-    /// turn a deadlock's `max_cycles` overrun into silence).
-    #[inline]
-    pub fn idle_span(&mut self) -> Option<u64> {
-        if self.ready_count != 0 {
-            return None;
-        }
-        let (cycle, _) = self.heap.peek()?;
-        Some(cycle.saturating_sub(self.now).max(1))
-    }
-
-    /// Advances the registry clock by `span` cycles after a skip.
-    #[inline]
-    pub fn advance(&mut self, span: u64) {
-        self.now += span;
-        // Notes are per-boundary: require fresh ones after a skip.
-        self.ready.fill(0);
-        self.ready_count = 0;
-    }
-
-    // simcheck: hot-path end
-}
-
-impl Default for Scheduler {
-    fn default() -> Self {
-        Scheduler::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -507,108 +110,5 @@ mod tests {
     fn countdown_zero_is_ready() {
         assert_eq!(Wake::countdown(0), Wake::Ready);
         assert_eq!(Wake::countdown(2), Wake::Sleep(2));
-    }
-
-    #[test]
-    fn heap_orders_by_cycle() {
-        let mut h = WakeHeap::new(4);
-        h.register(0, 30);
-        h.register(1, 10);
-        h.register(2, 20);
-        assert_eq!(h.peek(), Some((10, 1)));
-        assert_eq!(h.pop_due(15), Some(1));
-        assert_eq!(h.peek(), Some((20, 2)));
-        assert_eq!(h.pop_due(15), None, "cycle 20 not due at 15");
-    }
-
-    #[test]
-    fn reregistration_supersedes() {
-        let mut h = WakeHeap::new(2);
-        h.register(0, 5);
-        h.register(0, 50);
-        assert_eq!(h.peek(), Some((50, 0)), "old entry is stale");
-    }
-
-    #[test]
-    fn cancel_removes_lazily() {
-        let mut h = WakeHeap::new(2);
-        h.register(0, 5);
-        h.register(1, 9);
-        h.cancel(0);
-        assert!(!h.is_registered(0));
-        assert_eq!(h.peek(), Some((9, 1)));
-    }
-
-    #[test]
-    fn compaction_bounds_growth() {
-        let mut h = WakeHeap::new(2);
-        let cap = 2 * 4;
-        // Far more re-registrations than capacity: stale entries must be
-        // compacted away rather than growing the allocation.
-        for i in 0..1000u64 {
-            h.register((i % 2) as usize, 1000 - i);
-        }
-        assert!(
-            h.heap.capacity() <= cap.max(8),
-            "heap grew: {}",
-            h.heap.capacity()
-        );
-        assert_eq!(h.peek(), Some((1, 1)), "latest registrations win");
-    }
-
-    #[test]
-    fn scheduler_skips_min_sleep() {
-        let mut s = Scheduler::new();
-        let a = s.add_component("a", WakeCond::Countdown);
-        let b = s.add_component("b", WakeCond::Countdown);
-        let c = s.add_component("c", WakeCond::ExternalInput);
-        s.note(a, Wake::Sleep(8));
-        s.note(b, Wake::Sleep(3));
-        s.note(c, Wake::Idle);
-        assert_eq!(s.idle_span(), Some(3));
-        s.advance(3);
-        assert_eq!(s.now(), 3);
-    }
-
-    #[test]
-    fn scheduler_refuses_ready_and_all_idle() {
-        let mut s = Scheduler::new();
-        let a = s.add_component("a", WakeCond::Countdown);
-        let b = s.add_component("b", WakeCond::FifoNonEmpty);
-        s.note(a, Wake::Sleep(4));
-        s.note(b, Wake::Ready);
-        assert_eq!(s.idle_span(), None, "ready component forces a tick");
-        s.note(b, Wake::Idle);
-        s.note(a, Wake::Idle);
-        assert_eq!(s.idle_span(), None, "all-idle means deadlock: tick");
-    }
-
-    #[test]
-    fn hundreds_of_components_schedule_correctly() {
-        // A 128-requestor fabric registers several hundred components;
-        // the ready set must work across word boundaries, not silently
-        // alias bit 65 onto bit 1.
-        let mut s = Scheduler::new();
-        let ids: Vec<CompId> = (0..300)
-            .map(|_| s.add_component("leaf", WakeCond::Countdown))
-            .collect();
-        for (i, id) in ids.iter().enumerate() {
-            s.note(*id, Wake::Sleep(1 + i as u64));
-        }
-        assert_eq!(s.idle_span(), Some(1), "earliest sleeper bounds the skip");
-        s.note(ids[257], Wake::Ready);
-        assert_eq!(s.idle_span(), None, "a ready bit past word 4 forces a tick");
-        s.note(ids[257], Wake::Idle);
-        assert_eq!(s.idle_span(), Some(1));
-        s.advance(1);
-        assert_eq!(s.now(), 1);
-    }
-
-    #[test]
-    fn describe_round_trips() {
-        let mut s = Scheduler::new();
-        let id = s.add_component("engine0", WakeCond::Countdown);
-        assert_eq!(s.describe(id), ("engine0", WakeCond::Countdown));
-        assert_eq!(WakeCond::Countdown.to_string(), "countdown expired");
     }
 }

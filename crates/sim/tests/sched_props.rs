@@ -1,131 +1,12 @@
-//! Property tests of the readiness/wakeup scheduler.
-//!
-//! Three invariant families: wake registration/cancellation round-trips
-//! against a reference map, next-wake heap ordering under random
-//! insert/pop interleavings, and — the one the event-driven run loops
-//! stand on — no component ever sleeps through its own wake condition
-//! under randomized FIFO traffic.
+//! Property test of the readiness/wakeup contract the event-driven run
+//! loop stands on: no component ever sleeps through its own wake
+//! condition under randomized FIFO traffic.
 
 use proptest::prelude::*;
-use simkit::sched::{Scheduler, Wake, WakeCond, WakeHeap};
+use simkit::sched::Wake;
 use simkit::Fifo;
 
-/// A random heap operation.
-#[derive(Debug, Clone, Copy)]
-enum HeapOp {
-    Register { comp: usize, cycle: u64 },
-    Cancel { comp: usize },
-    PopDue { now: u64 },
-}
-
-fn heap_ops(components: usize) -> impl Strategy<Value = Vec<HeapOp>> {
-    let op = prop_oneof![
-        (0..components, 1u64..1000).prop_map(|(comp, cycle)| HeapOp::Register { comp, cycle }),
-        (0..components).prop_map(|comp| HeapOp::Cancel { comp }),
-        (0u64..1000).prop_map(|now| HeapOp::PopDue { now }),
-    ];
-    proptest::collection::vec(op, 1..300)
-}
-
 proptest! {
-    /// Registration and cancellation round-trip against a reference map:
-    /// after any operation sequence, `is_registered` and `peek()` agree
-    /// with a model that only remembers the latest registration per
-    /// component.
-    #[test]
-    fn registration_round_trips_against_a_reference_map(
-        components in 1usize..8,
-        ops in (1usize..8).prop_flat_map(heap_ops),
-    ) {
-        let components = components.max(1);
-        let mut heap = WakeHeap::new(components);
-        let mut model: Vec<Option<u64>> = vec![None; components];
-        for op in ops {
-            match op {
-                HeapOp::Register { comp, cycle } => {
-                    let comp = comp % components;
-                    heap.register(comp, cycle);
-                    model[comp] = Some(cycle);
-                }
-                HeapOp::Cancel { comp } => {
-                    let comp = comp % components;
-                    heap.cancel(comp);
-                    model[comp] = None;
-                }
-                HeapOp::PopDue { now } => {
-                    let expect = model
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(c, &cy)| cy.map(|cy| (cy, c)))
-                        .min()
-                        .filter(|&(cy, _)| cy <= now);
-                    match (heap.pop_due(now), expect) {
-                        (Some(comp), Some((cycle, _))) => {
-                            // Ties on cycle may resolve to any component;
-                            // the popped one must hold the minimum cycle.
-                            prop_assert_eq!(model[comp], Some(cycle), "popped a non-minimal entry");
-                            model[comp] = None;
-                        }
-                        (None, None) => {}
-                        (got, want) => {
-                            return Err(TestCaseError::fail(format!(
-                                "pop_due({now}): got {got:?}, model says {want:?}"
-                            )));
-                        }
-                    }
-                }
-            }
-            for (c, &cy) in model.iter().enumerate() {
-                prop_assert_eq!(heap.is_registered(c), cy.is_some(), "component {}", c);
-            }
-            let min = model.iter().filter_map(|&cy| cy).min();
-            prop_assert_eq!(heap.peek().map(|(cy, _)| cy), min);
-            if let Some((cycle, comp)) = heap.peek() {
-                prop_assert_eq!(model[comp], Some(cycle), "peek() surfaced a stale entry");
-            }
-        }
-    }
-
-    /// Draining the heap after any insert/pop interleaving yields
-    /// non-decreasing wake cycles — the min-heap ordering survives lazy
-    /// cancellation and compaction.
-    #[test]
-    fn drain_order_is_sorted_under_interleavings(
-        components in 1usize..8,
-        ops in (1usize..8).prop_flat_map(heap_ops),
-    ) {
-        let mut heap = WakeHeap::new(components);
-        let mut live = vec![false; components];
-        for op in ops {
-            match op {
-                HeapOp::Register { comp, cycle } => {
-                    let comp = comp % components;
-                    heap.register(comp, cycle);
-                    live[comp] = true;
-                }
-                HeapOp::Cancel { comp } => {
-                    let comp = comp % components;
-                    heap.cancel(comp);
-                    live[comp] = false;
-                }
-                HeapOp::PopDue { now } => {
-                    if let Some(comp) = heap.pop_due(now) {
-                        live[comp] = false;
-                    }
-                }
-            }
-        }
-        let mut last = 0u64;
-        while let Some((cycle, comp)) = heap.peek() {
-            prop_assert!(cycle >= last, "drain went backwards: {cycle} after {last}");
-            prop_assert!(live[comp], "drained a cancelled component");
-            last = cycle;
-            heap.pop_due(u64::MAX).expect("peek() said an entry is live");
-            live[comp] = false;
-        }
-        prop_assert!(live.iter().all(|&l| !l), "live registrations left undrained");
-    }
-
     /// A consumer driven purely by [`Fifo::wake`] never sleeps through
     /// traffic and never misses data: under any randomized producer
     /// schedule it pops exactly the pushed sequence, in order, touching
@@ -171,46 +52,6 @@ proptest! {
         prop_assert_eq!(popped.len(), next as usize, "consumer missed pushed data");
         for (i, v) in popped.iter().enumerate() {
             prop_assert_eq!(*v as usize, i, "order violated");
-        }
-    }
-
-    /// The scheduler's idle-span decision matches the semantics of the
-    /// noted wakes on every round: `None` iff someone is ready or nobody
-    /// holds a deadline, otherwise exactly the minimum sleep.
-    #[test]
-    fn idle_span_matches_noted_wakes(
-        wakes_per_round in proptest::collection::vec(
-            proptest::collection::vec(
-                prop_oneof![
-                    Just(Wake::Ready),
-                    (1u64..50).prop_map(Wake::Sleep),
-                    Just(Wake::Idle),
-                ],
-                1..6,
-            ),
-            1..40,
-        ),
-    ) {
-        let components = wakes_per_round.iter().map(Vec::len).max().expect("nonempty");
-        let mut s = Scheduler::new();
-        let ids: Vec<_> = (0..components)
-            .map(|_| s.add_component("comp", WakeCond::Countdown))
-            .collect();
-        for round in wakes_per_round {
-            // Unnoted components keep their previous state; note everyone
-            // each round to keep the model simple (Idle for the rest).
-            for (i, &id) in ids.iter().enumerate() {
-                s.note(id, round.get(i).copied().unwrap_or(Wake::Idle));
-            }
-            let any_ready = round.iter().any(|w| w.is_ready());
-            let min_sleep = round.iter().filter_map(|w| w.sleep_ticks()).min();
-            let expected = if any_ready { None } else { min_sleep };
-            let before = s.now();
-            prop_assert_eq!(s.idle_span(), expected);
-            if let Some(span) = expected {
-                s.advance(span);
-                prop_assert_eq!(s.now(), before + span);
-            }
         }
     }
 }

@@ -338,7 +338,7 @@ impl Engine {
     /// window, and VLSU occupancy.
     pub fn describe_state(&self) -> String {
         format!(
-            "pc {}/{}, {} in window, {} mem ops queued, load issuing: {}, {} loads draining,              store active: {}, {} stores awaiting B",
+            "pc {}/{}, {} in window, {} mem ops queued, load issuing: {}, {} loads draining, store active: {}, {} stores awaiting B",
             self.pc,
             self.program.len(),
             self.window.len(),
@@ -982,7 +982,8 @@ impl Engine {
         }
     }
 
-    /// Classifies the engine's wake status at a cycle boundary.
+    /// Classifies the engine's wake status at a cycle boundary, as seen
+    /// with an empty bus bundle.
     ///
     /// Queried between ticks (settled state). The classification is
     /// deliberately conservative — anything whose progress depends on bus
@@ -993,12 +994,52 @@ impl Engine {
     /// reduction tails, and the IDEAL port's access latency. The contract
     /// is exact: if this returns `Sleep(n)`, then `n` lockstep ticks would
     /// perform only the bookkeeping [`Engine::fast_forward`] replays.
+    ///
+    /// This is [`Engine::next_wake_on`] with an empty leaf: nothing to
+    /// pop, and room in AR for an issuing load.
     pub fn next_wake(&self) -> Wake {
+        self.wake(true)
+    }
+
+    /// Classifies the engine's wake status at a cycle boundary, looking at
+    /// its own bus bundle (`leaf`) as the next tick would see it.
+    ///
+    /// Beyond [`Engine::next_wake`], a load whose next AR request cannot
+    /// be pushed because `leaf`'s AR register is full is not `Ready`:
+    /// each such tick only counts an AR stall, which
+    /// [`Engine::fast_forward`] replays. An `Idle` answer therefore means
+    /// the engine's only bus work is waiting — for R/B beats, or for AR
+    /// space — and stays `Idle` until [`Engine::leaf_wakes`] reports input
+    /// on `leaf`: untouched, the engine's own state cannot change.
+    pub fn next_wake_on(&self, leaf: &AxiChannels) -> Wake {
+        if self.leaf_wakes(leaf) {
+            Wake::Ready
+        } else {
+            self.wake(false)
+        }
+    }
+
+    /// Returns `true` when `leaf` holds input the engine's next tick acts
+    /// on: a visible R or B beat, or AR space for an issuing load.
+    #[inline]
+    pub fn leaf_wakes(&self, leaf: &AxiChannels) -> bool {
+        leaf.r.can_pop() || leaf.b.can_pop() || (self.load_issuing.is_some() && leaf.ar.can_push())
+    }
+
+    /// The wake classification shared by [`Engine::next_wake`] and
+    /// [`Engine::next_wake_on`]; `ar_space` says whether an issuing load
+    /// could push its next request.
+    fn wake(&self, ar_space: bool) -> Wake {
         let mut countdown = u64::MAX;
-        // Memory back-end. A pending or issuing run makes progress (or
-        // contends for the bus) every cycle; draining runs wait on R/B
-        // beats and contribute nothing of their own.
-        if !self.mem_q.is_empty() || self.load_issuing.is_some() || self.store_active.is_some() {
+        // Memory back-end. A pending run or an issuing load with AR space
+        // makes progress (or contends for the bus) every cycle; queued
+        // runs cannot start while a load is issuing, and draining runs
+        // wait on R/B beats and contribute nothing of their own.
+        let mem_ready = match &self.load_issuing {
+            Some(_) => ar_space,
+            None => !self.mem_q.is_empty(),
+        };
+        if mem_ready || self.store_active.is_some() {
             return Wake::Ready;
         }
         if let Some(run) = &self.ideal_active {
@@ -1083,17 +1124,29 @@ impl Engine {
     /// Replays the bookkeeping of `span` provably-idle ticks in one call.
     ///
     /// Must only be called with `span` no larger than the `n` of a
-    /// [`Wake::Sleep`]`(n)` from [`Engine::next_wake`] (or arbitrarily for
-    /// a [`Wake::Idle`] engine, whose idle ticks have no countdowns to
-    /// expire). The resulting state — statistics included — is
-    /// bit-identical to ticking `span` times, which the lockstep
-    /// differential oracle verifies on every fuzz seed.
+    /// [`Wake::Sleep`]`(n)` from [`Engine::next_wake`], or for an engine
+    /// whose wake is [`Wake::Idle`], which has no countdowns to expire:
+    /// arbitrarily after [`Engine::next_wake`], and after
+    /// [`Engine::next_wake_on`] for as long as [`Engine::leaf_wakes`]
+    /// stays `false` (a load parked on a full AR register counts one AR
+    /// stall per replayed tick). The resulting state — statistics
+    /// included — is bit-identical to ticking `span` times, which the
+    /// lockstep differential oracle verifies on every fuzz seed.
     pub fn fast_forward(&mut self, span: u64) {
         self.stats.cycles += span;
         // Both memory back-ends record one idle sample per tracker per
         // idle tick (AXI: no R beat popped; IDEAL: no transfer).
         self.stats.r_util.record_idle_n(span);
         self.stats.r_util_data.record_idle_n(span);
+        // A load with requests left was back-pressured on every skipped
+        // tick: the only wake that skips it is a full AR register.
+        if self
+            .load_issuing
+            .as_ref()
+            .is_some_and(|r| !r.reqs.is_empty())
+        {
+            self.stats.ar_stall_cycles += span;
+        }
         // Frontend: a scalar stall decrements and counts every tick; a
         // scalar store blocked on a live producer counts without state.
         // The window cannot change before the frontend runs within a tick
@@ -1934,6 +1987,94 @@ mod tests {
             format!("{:?}", ticker.stats()),
             "fast_forward diverged from lockstep ticking"
         );
+    }
+
+    #[test]
+    fn a_back_pressured_load_parks_and_replays_its_stalls() {
+        // Two identical BASE engines issue a strided load (one AR request
+        // per element) into leaves whose AR register is held full. Once
+        // the leaf-aware wake parks them, one ticks N cycles and the other
+        // replays them in one fast_forward: the statistics must match
+        // field for field, the AR stalls included.
+        let p = || ProgramBuilder::new().set_vl(16).vlse(1, 0x400, 3).build();
+        let cfg = VprocConfig::default();
+        let mut ticker = Engine::new(cfg, SystemKind::Base, bus(), p());
+        let mut parked = Engine::new(cfg, SystemKind::Base, bus(), p());
+        let mut leaves = [AxiChannels::new(), AxiChannels::new()];
+        for leaf in &mut leaves {
+            while leaf.ar.can_push() {
+                leaf.ar.push(ArBeat::incr(0, 0, 1, &bus()));
+            }
+            leaf.end_cycle();
+        }
+        let mut storage = patterned_storage();
+        let mut guard = 0u32;
+        while parked.next_wake_on(&leaves[1]) != Wake::Idle {
+            ticker.tick(Some(&mut leaves[0]), &mut storage);
+            parked.tick(Some(&mut leaves[1]), &mut storage);
+            leaves.iter_mut().for_each(AxiChannels::end_cycle);
+            guard += 1;
+            assert!(guard < 100, "the load never reached the full AR register");
+        }
+        assert_eq!(ticker.next_wake_on(&leaves[0]), Wake::Idle);
+        // Seen without its leaf, an issuing load is work: the two wakes
+        // differ only in what the leaf shows.
+        assert_eq!(parked.next_wake(), Wake::Ready);
+        const N: u64 = 37;
+        for _ in 0..N {
+            ticker.tick(Some(&mut leaves[0]), &mut storage);
+            leaves[0].end_cycle();
+        }
+        parked.fast_forward(N);
+        let (t, s) = (ticker.stats(), parked.stats());
+        assert_eq!(s.cycles, t.cycles, "cycles");
+        assert!(t.ar_stall_cycles > N, "every held tick stalls AR");
+        assert_eq!(s.ar_stall_cycles, t.ar_stall_cycles, "ar_stall_cycles");
+        assert_eq!(
+            s.scalar_stall_cycles, t.scalar_stall_cycles,
+            "scalar_stall_cycles"
+        );
+        for (name, a, b) in [
+            ("r_util", &s.r_util, &t.r_util),
+            ("r_util_data", &s.r_util_data, &t.r_util_data),
+        ] {
+            assert_eq!(a.cycles(), b.cycles(), "{name} samples");
+            assert_eq!(
+                a.payload_fraction().to_bits(),
+                b.payload_fraction().to_bits(),
+                "{name}"
+            );
+        }
+        assert_eq!(
+            format!("{s:?}"),
+            format!("{t:?}"),
+            "replay diverged from ticking"
+        );
+        // The hang-forensics line of a parked engine reads cleanly.
+        let state = parked.describe_state();
+        assert!(state.contains("load issuing: true"), "{state}");
+        assert!(!state.contains("  "), "double space in {state:?}");
+        // A beat wakes it on the cycle it becomes visible, not when staged.
+        let leaf = &mut leaves[1];
+        leaf.r.push(axi_proto::RBeat {
+            id: axi_proto::AxiId(0),
+            data: BeatBuf::zeroed(bus().data_bytes()),
+            payload_bytes: 4,
+            last: true,
+            resp: Resp::Okay,
+        });
+        assert_eq!(parked.next_wake_on(leaf), Wake::Idle, "staged beat");
+        leaf.end_cycle();
+        assert!(parked.leaf_wakes(leaf));
+        assert_eq!(parked.next_wake_on(leaf), Wake::Ready, "visible R beat");
+        leaf.r.pop();
+        leaf.end_cycle();
+        assert_eq!(parked.next_wake_on(leaf), Wake::Idle);
+        // AR space freed by a pop registers at the cycle boundary.
+        leaf.ar.pop();
+        assert_eq!(parked.next_wake_on(leaf), Wake::Idle, "same-cycle pop");
+        leaf.end_cycle();
+        assert_eq!(parked.next_wake_on(leaf), Wake::Ready, "AR space");
     }
 
     #[test]
