@@ -109,24 +109,6 @@ impl AxiChannels {
             && self.b.is_empty()
     }
 
-    /// Wake status for the event-driven scheduler.
-    ///
-    /// A bus holding any beat — visible or staged on any channel — is
-    /// [`simkit::sched::Wake::Ready`]: staged beats still need an
-    /// `end_cycle` to promote, and visible beats need a consumer tick. A
-    /// fully drained bus only changes state when a manager or subordinate
-    /// pushes (the "FIFO became non-empty" condition), so it is
-    /// [`simkit::sched::Wake::Idle`] and its `end_cycle` is a no-op that a
-    /// skip may safely omit.
-    #[inline]
-    pub fn wake(&self) -> simkit::sched::Wake {
-        if self.is_empty() {
-            simkit::sched::Wake::Idle
-        } else {
-            simkit::sched::Wake::Ready
-        }
-    }
-
     // simcheck: hot-path end
 }
 

@@ -86,7 +86,8 @@ struct MuxFaults {
 /// let mut mux = AxiMux::new(2);
 /// let mut managers = vec![AxiChannels::new(), AxiChannels::new()];
 /// let mut downstream = AxiChannels::new();
-/// mux.tick(&mut managers, &mut downstream);
+/// assert!(mux.idle(&managers, &downstream));
+/// assert!(!mux.tick(&mut managers, &mut downstream), "nothing to move");
 /// assert!(mux.quiescent());
 /// ```
 #[derive(Debug)]
@@ -226,14 +227,35 @@ impl AxiMux {
         Self::split_id(self.shift, id)
     }
 
-    /// One cycle of multiplexer work.
+    /// Returns `true` when a [`AxiMux::tick`] against these ports would
+    /// move nothing and change no state: no manager port shows an AR or
+    /// AW request, the downstream port shows no R or B beat, and no W
+    /// burst is mid-route. An idle round rotates no arbiter and advances
+    /// neither [`AxiMux::ar_lost`] nor a storm schedule, so a run loop
+    /// may skip the tick.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `managers.len()` differs from the configured port count.
+    #[inline]
+    pub fn idle(&self, managers: &[AxiChannels], down: &AxiChannels) -> bool {
+        assert_eq!(managers.len(), self.n, "manager port count mismatch");
+        self.w_route.is_empty()
+            && !down.r.can_pop()
+            && !down.b.can_pop()
+            && managers.iter().all(|m| !m.ar.can_pop() && !m.aw.can_pop())
+    }
+
+    /// One cycle of multiplexer work; returns whether any beat moved
+    /// (a request granted, a W beat forwarded or a response routed).
     ///
     /// # Panics
     ///
     /// Panics if `managers.len()` differs from the configured port count,
     /// or if a response carries a manager index out of range.
-    pub fn tick(&mut self, managers: &mut [AxiChannels], down: &mut AxiChannels) {
+    pub fn tick(&mut self, managers: &mut [AxiChannels], down: &mut AxiChannels) -> bool {
         assert_eq!(managers.len(), self.n, "manager port count mismatch");
+        let mut moved = false;
         // AR: round-robin one request. The request vectors live on the
         // stack (at most MAX_FAN_IN ports) — no per-cycle allocation.
         let mut wants = [false; MAX_FAN_IN];
@@ -271,6 +293,7 @@ impl AxiMux {
             self.reads_open[p] += 1;
             self.ar_grants[p] += 1;
             down.ar.push(ar);
+            moved = true;
         }
         // AW: round-robin one request; record the W route.
         {
@@ -300,6 +323,7 @@ impl AxiMux {
                 self.w_route.push_back((p, aw.beats));
                 self.writes_open[p] += 1;
                 down.aw.push(aw);
+                moved = true;
             }
         }
         // W: strictly in AW order.
@@ -311,6 +335,7 @@ impl AxiMux {
                     if *beats_left == 0 {
                         self.w_route.pop_front();
                     }
+                    moved = true;
                 }
             }
         }
@@ -327,6 +352,7 @@ impl AxiMux {
                 }
                 self.r_routed += 1;
                 managers[p].r.push(r);
+                moved = true;
             }
         }
         // B: route by ID prefix.
@@ -339,8 +365,10 @@ impl AxiMux {
                 debug_assert!(self.writes_open[p] > 0, "B without open write");
                 self.writes_open[p] = self.writes_open[p].saturating_sub(1);
                 managers[p].b.push(b);
+                moved = true;
             }
         }
+        moved
     }
 
     // simcheck: hot-path end
@@ -365,24 +393,6 @@ impl AxiMux {
         self.w_route.is_empty()
             && self.reads_open.iter().all(|&r| r == 0)
             && self.writes_open.iter().all(|&w| w == 0)
-    }
-
-    /// Wake status for the event-driven scheduler.
-    ///
-    /// The mux's tick is a pure function of the channel FIFOs around it:
-    /// with every manager port and the downstream port drained *and* no
-    /// burst mid-route, a tick grants nothing and moves nothing (the
-    /// round-robin arbiters do not rotate on an all-idle grant), so the mux
-    /// is [`simkit::sched::Wake::Idle`] and may be skipped. Any open
-    /// transaction or routable beat makes it [`simkit::sched::Wake::Ready`].
-    /// The caller must merge in the surrounding channels' own wakes.
-    #[inline]
-    pub fn wake(&self) -> simkit::sched::Wake {
-        if self.quiescent() {
-            simkit::sched::Wake::Idle
-        } else {
-            simkit::sched::Wake::Ready
-        }
     }
 
     /// AR requests granted to manager `p` so far.
@@ -610,6 +620,52 @@ mod tests {
             16,
             "per-manager grant accounting survives storms"
         );
+    }
+
+    #[test]
+    fn an_idle_tick_moves_nothing_and_changes_no_state() {
+        // Storms armed to fire on every demand round: an idle tick must
+        // still not advance them, nor count a lost round or rotate the
+        // arbiter, so a run loop may skip it outright.
+        let bus = BusConfig::new(256);
+        let mut mux = AxiMux::new(3);
+        let mut spec = simkit::fault::FaultSpec::silent(5);
+        spec.grant_storm_period = 1;
+        spec.grant_storm_len = 1;
+        mux.install_faults(&spec);
+        let mut mgrs: Vec<AxiChannels> = (0..3).map(|_| AxiChannels::new()).collect();
+        let mut down = AxiChannels::new();
+        for _ in 0..8 {
+            assert!(mux.idle(&mgrs, &down));
+            assert!(!mux.tick(&mut mgrs, &mut down), "an idle tick moved a beat");
+            down.end_cycle();
+        }
+        for p in 0..3 {
+            assert_eq!((mux.ar_grants(p), mux.ar_lost(p)), (0, 0), "manager {p}");
+        }
+        assert_eq!((mux.grant_storms(), mux.storm_stalls()), (0, 0));
+        assert!(!mux.storm_active());
+        // A staged request is not traffic yet; a visible one is, and
+        // stays so while the downstream AR register is full.
+        for (p, m) in mgrs.iter_mut().enumerate() {
+            m.ar.push(ArBeat::incr(p as u8, 0x40 * p as u64, 1, &bus));
+        }
+        assert!(mux.idle(&mgrs, &down), "staged beats are not visible");
+        for _ in 0..2 {
+            down.ar.push(ArBeat::incr(0, 0, 1, &bus));
+            down.end_cycle();
+        }
+        for m in mgrs.iter_mut() {
+            m.end_cycle();
+        }
+        assert!(!mux.idle(&mgrs, &down), "visible requests are traffic");
+        assert!(
+            !mux.tick(&mut mgrs, &mut down),
+            "back-pressured: nothing moves"
+        );
+        for p in 0..3 {
+            assert_eq!(mux.ar_lost(p), 1, "a blocked round still counts");
+        }
     }
 
     #[test]

@@ -83,7 +83,8 @@ impl SchedProbe {
 
 /// Observation state a probed run fills in: per-leaf protocol monitors,
 /// one monitor on the root link of every muxed channel, a digest of the
-/// final backing store, and the scheduler's skip and parking accounting.
+/// final backing store, and the scheduler's skip, parking and
+/// work-skipping accounting.
 #[derive(Debug, Default)]
 pub struct RunProbe {
     /// One monitor per bus-attached leaf port, channel by channel in
@@ -105,6 +106,14 @@ pub struct RunProbe {
     /// engine was parked on its leaf port, waiting for R/B beats or AR
     /// space (always 0 in lockstep mode).
     pub parked_ticks: u64,
+    /// Bus bundles whose cycle-boundary register stage ran. Lockstep ends
+    /// every bundle every ticked cycle (cycles × bundles); event mode ends
+    /// only the bundles something pushed to or popped from.
+    pub stage_visits: u64,
+    /// Mux ticks executed. Lockstep ticks every mux every ticked cycle
+    /// (cycles × muxes); event mode skips a mux with no visible request
+    /// or response and no W burst mid-route.
+    pub mux_ticks: u64,
 }
 
 impl RunProbe {

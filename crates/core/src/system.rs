@@ -994,28 +994,63 @@ fn run_cached(
     run(probe)
 }
 
+/// Where one mux of a channel's tree sits among the channel's bundles.
+#[derive(Debug, Clone, Copy)]
+struct MuxWiring {
+    /// First of its manager ports, `bundles[lo..hi]`.
+    lo: usize,
+    /// One past its last manager port.
+    hi: usize,
+    /// Its downstream link, `bundles[down]`; always at or above `hi`.
+    down: usize,
+}
+
 /// One memory channel of the fabric: a cascaded tree of round-robin
 /// muxes funneling the channel's bus-attached requestors into its own
 /// near-memory adapter, which owns the channel's copy of the backing
 /// store (only this channel's windows are live in it). A channel with a
 /// single bus-attached member has no mux level: its leaf bundle is the
 /// adapter's link.
+///
+/// In event mode a cycle costs what moves: the register stage ends only
+/// the bundles something pushed to or popped from, and a mux is ticked
+/// only while a request or response is visible on its ports or a W burst
+/// is mid-route. Both skips are exact — an untouched [`simkit::Fifo`] has
+/// nothing staged and an unchanged occupancy, monitors observe only
+/// staged beats, and an idle mux tick changes no state. Lockstep ends
+/// every bundle and ticks every mux.
 struct ChannelHw {
     /// Requestor index of every leaf port, in port order.
     members: Vec<usize>,
-    /// Leaf bundles, one per member; engines tick directly into these.
-    leaves: Vec<AxiChannels>,
-    /// Mux levels bottom-up; `levels[l][k]` drains into `links[l][k]`.
-    /// The last level always holds exactly one mux — the tree root.
-    levels: Vec<Vec<AxiMux>>,
-    links: Vec<Vec<AxiChannels>>,
+    /// Every bus bundle of the channel: first the leaves, one per member
+    /// in port order (engines tick straight into these), then each mux
+    /// level's downstream links bottom-up. The last bundle is the link
+    /// the adapter serves — the tree's root link, or a lone member's leaf.
+    bundles: Vec<AxiChannels>,
+    /// Every mux, level by level bottom-up; level `l` holds
+    /// `muxes[level_starts[l]..level_starts[l + 1]]`, and the last level
+    /// exactly one mux — the tree root.
+    muxes: Vec<AxiMux>,
+    wiring: Vec<MuxWiring>,
+    level_starts: Vec<usize>,
     adapter: Adapter,
-    arity: usize,
     /// Monitors on the leaf bundles (probed runs only), one per member.
     leaf_monitors: Vec<Monitor>,
     /// Monitor on the root link below the tree — probed runs with two or
     /// more members only; a single member's leaf *is* the root link.
     root_monitor: Option<Monitor>,
+    /// Bundles pushed to or popped from this cycle (event mode), each
+    /// listed once (`is_touched` dedupes); sized for every bundle up
+    /// front.
+    touched: Vec<usize>,
+    is_touched: Vec<bool>,
+    /// Per leaf: the cycle its register stage last ran into. Only that
+    /// stage can change what a parked engine sees on its leaf.
+    leaf_ended_at: Vec<u64>,
+    /// Bundle register stages run, for [`RunProbe::stage_visits`].
+    stage_visits: u64,
+    /// Mux ticks run, for [`RunProbe::mux_ticks`].
+    mux_ticks: u64,
 }
 
 impl ChannelHw {
@@ -1030,31 +1065,39 @@ impl ChannelHw {
         // reaches this point; the clamp keeps construction panic-free.
         let arity = fabric.arity.clamp(2, MAX_FAN_IN);
         let level_bits = fabric.level_bits();
-        let leaves: Vec<AxiChannels> = (0..members.len()).map(|_| AxiChannels::new()).collect();
-        let mut levels: Vec<Vec<AxiMux>> = Vec::new();
-        let mut links: Vec<Vec<AxiChannels>> = Vec::new();
-        let mut width = members.len();
-        let mut shift = LOCAL_ID_BITS;
+        let leaves = members.len();
+        let mut bundles: Vec<AxiChannels> = (0..leaves).map(|_| AxiChannels::new()).collect();
+        let mut muxes: Vec<AxiMux> = Vec::new();
+        let mut wiring: Vec<MuxWiring> = Vec::new();
+        let mut level_starts = vec![0];
+        // The current level's ports are `bundles[first..first + width]`.
+        let (mut first, mut width, mut shift) = (0, leaves, LOCAL_ID_BITS);
         while width > 1 {
-            let groups = width.div_ceil(arity);
-            levels.push(
-                (0..groups)
-                    .map(|k| AxiMux::cascade((width - k * arity).min(arity), shift))
-                    .collect(),
-            );
-            links.push((0..groups).map(|_| AxiChannels::new()).collect());
-            width = groups;
+            let links = bundles.len();
+            for k in 0..width.div_ceil(arity) {
+                let lo = first + k * arity;
+                let hi = (lo + arity).min(first + width);
+                muxes.push(AxiMux::cascade(hi - lo, shift));
+                wiring.push(MuxWiring {
+                    lo,
+                    hi,
+                    down: bundles.len(),
+                });
+                bundles.push(AxiChannels::new());
+            }
+            level_starts.push(muxes.len());
+            (first, width) = (links, bundles.len() - links);
             shift += level_bits;
         }
         let mut adapter = Adapter::new(sys.ctrl_for(fabric), storage);
         if let Some(spec) = sys.fault.as_ref() {
             adapter.install_faults(spec);
-            for mux in levels.iter_mut().flatten() {
+            for mux in muxes.iter_mut() {
                 mux.install_faults(spec);
             }
         }
         let leaf_monitors: Vec<Monitor> = if probed {
-            let id_bits = if members.len() > 1 { LOCAL_ID_BITS } else { 8 };
+            let id_bits = if leaves > 1 { LOCAL_ID_BITS } else { 8 };
             members
                 .iter()
                 .map(|_| Monitor::with_id_bits(sys.bus(), id_bits))
@@ -1064,107 +1107,164 @@ impl ChannelHw {
         };
         // Below the root every level's prefix has been stacked on, so
         // the root link carries the channel's full ID width.
-        let root_monitor = (probed && !levels.is_empty())
+        let root_monitor = (probed && !muxes.is_empty())
             .then(|| Monitor::with_id_bits(sys.bus(), shift.min(ID_BITS)));
         ChannelHw {
             members,
-            leaves,
-            levels,
-            links,
+            touched: Vec::with_capacity(bundles.len()),
+            is_touched: vec![false; bundles.len()],
+            leaf_ended_at: vec![0; leaves],
+            bundles,
+            muxes,
+            wiring,
+            level_starts,
             adapter,
-            arity,
             leaf_monitors,
             root_monitor,
+            stage_visits: 0,
+            mux_ticks: 0,
         }
     }
 
-    /// One cycle: each mux level bottom-up, then the adapter on the root
-    /// link. The FIFO register stages make every hop visible only at the
-    /// cycle boundary, so each level adds one cycle of honest latency in
-    /// both directions.
+    /// Mux levels of the tree (0 for a lone member or an all-IDEAL
+    /// channel).
+    fn depth(&self) -> usize {
+        self.level_starts.len() - 1
+    }
+
+    /// The muxes of level `l`, bottom-up.
+    fn level(&self, l: usize) -> &[AxiMux] {
+        &self.muxes[self.level_starts[l]..self.level_starts[l + 1]]
+    }
+
+    // simcheck: hot-path begin -- the channel's per-cycle mux ticks and
+    // register stage; the touched list and the per-bundle and per-leaf
+    // flags are sized for every bundle at construction.
+
+    /// Records that something pushed to or popped from bundle `b` this
+    /// cycle, so the register stage must run for it.
     #[inline]
-    fn tick(&mut self) {
-        for l in 0..self.levels.len() {
-            if l == 0 {
-                for (k, mux) in self.levels[0].iter_mut().enumerate() {
-                    let lo = k * self.arity;
-                    let hi = (lo + self.arity).min(self.leaves.len());
-                    mux.tick(&mut self.leaves[lo..hi], &mut self.links[0][k]);
-                }
-            } else {
-                let (lower, upper) = self.links.split_at_mut(l);
-                let ups = &mut lower[l - 1];
-                for (k, mux) in self.levels[l].iter_mut().enumerate() {
-                    let lo = k * self.arity;
-                    let hi = (lo + self.arity).min(ups.len());
-                    mux.tick(&mut ups[lo..hi], &mut upper[0][k]);
-                }
-            }
+    fn touch(&mut self, b: usize) {
+        if !self.is_touched[b] {
+            self.is_touched[b] = true;
+            self.touched.push(b);
         }
+    }
+
+    /// One cycle: each mux level bottom-up, then the adapter on its link.
+    /// The FIFO register stages make every hop visible only at the cycle
+    /// boundary, so each level adds one cycle of honest latency in both
+    /// directions.
+    #[inline]
+    fn tick(&mut self, event: bool) {
         if self.members.is_empty() {
             // An all-IDEAL channel has no bus hardware to tick; its
             // adapter merely owns the storage.
             return;
         }
-        match self.links.last_mut() {
-            Some(root) => self.adapter.tick(&mut root[0]),
-            None => self.adapter.tick(&mut self.leaves[0]),
+        for m in 0..self.muxes.len() {
+            let MuxWiring { lo, hi, down } = self.wiring[m];
+            let (ports, upper) = self.bundles.split_at_mut(down);
+            let (ports, down_link) = (&mut ports[lo..hi], &mut upper[0]);
+            if event && self.muxes[m].idle(ports, down_link) {
+                continue;
+            }
+            self.mux_ticks += 1;
+            if self.muxes[m].tick(ports, down_link) {
+                for b in lo..hi {
+                    self.touch(b);
+                }
+                self.touch(down);
+            }
         }
+        let link = self.bundles.len() - 1;
+        self.adapter.tick(&mut self.bundles[link]);
+        self.touch(link);
         self.adapter.end_cycle();
     }
 
-    /// Cycle-boundary register stage for every bundle in the channel,
-    /// feeding the probe monitors where attached.
+    /// Cycle-boundary register stage into cycle `next`, feeding the probe
+    /// monitors where attached: every bundle in lockstep, only the
+    /// touched ones in event mode.
     #[inline]
-    fn end_cycle(&mut self) {
-        for (j, ch) in self.leaves.iter_mut().enumerate() {
-            match self.leaf_monitors.get_mut(j) {
+    fn end_cycle(&mut self, event: bool, next: u64) {
+        if event {
+            for k in 0..self.touched.len() {
+                let b = self.touched[k];
+                self.is_touched[b] = false;
+                self.end_bundle(b, next);
+            }
+            self.stage_visits += self.touched.len() as u64;
+        } else {
+            for &b in &self.touched {
+                self.is_touched[b] = false;
+            }
+            for b in 0..self.bundles.len() {
+                self.end_bundle(b, next);
+            }
+            self.stage_visits += self.bundles.len() as u64;
+        }
+        self.touched.clear();
+    }
+
+    /// Ends bundle `b`'s register stage, through the monitor watching it
+    /// if there is one.
+    #[inline]
+    fn end_bundle(&mut self, b: usize, next: u64) {
+        let root = b + 1 == self.bundles.len();
+        let ch = &mut self.bundles[b];
+        if b < self.members.len() {
+            self.leaf_ended_at[b] = next;
+            match self.leaf_monitors.get_mut(b) {
                 Some(mon) => ch.end_cycle_observed(mon),
                 None => ch.end_cycle(),
             }
-        }
-        let last = self.links.len();
-        for (l, row) in self.links.iter_mut().enumerate() {
-            for ch in row.iter_mut() {
-                match self.root_monitor.as_mut() {
-                    Some(mon) if l + 1 == last => ch.end_cycle_observed(mon),
-                    _ => ch.end_cycle(),
-                }
+        } else {
+            match self.root_monitor.as_mut() {
+                Some(mon) if root => ch.end_cycle_observed(mon),
+                _ => ch.end_cycle(),
             }
         }
     }
 
-    /// All bundles empty, all muxes and the adapter quiescent — nothing
-    /// in flight anywhere in the channel. A channel without bus-attached
-    /// members never ticks, so it is always drained.
+    /// Adapter and muxes quiescent and every bundle empty — nothing in
+    /// flight anywhere in the channel. The adapter answers in O(1) and is
+    /// asked first: on a busy fabric it is almost never quiescent. A
+    /// channel without bus-attached members never ticks, so it is always
+    /// drained.
     #[inline]
     fn drained(&self) -> bool {
         self.members.is_empty()
-            || (self.leaves.iter().all(AxiChannels::is_empty)
-                && self.adapter.quiescent()
-                && self.links.iter().flatten().all(AxiChannels::is_empty)
-                && self.levels.iter().flatten().all(AxiMux::quiescent))
+            || (self.adapter.quiescent()
+                && self.muxes.iter().all(AxiMux::quiescent)
+                && self.bundles.iter().all(AxiChannels::is_empty))
     }
+
+    // simcheck: hot-path end
 
     /// Appends this channel's component snapshots for hang forensics, in
     /// dependency order (leaves, then levels bottom-up, then adapter).
     fn hang_components(&self, c: usize, out: &mut Vec<HangComponent>) {
-        for (j, ch) in self.leaves.iter().enumerate() {
+        for (j, &member) in self.members.iter().enumerate() {
             out.push(channels_component(
-                &format!("ch{c} requestor {} leaf channels", self.members[j]),
-                ch,
+                &format!("ch{c} requestor {member} leaf channels"),
+                &self.bundles[j],
             ));
         }
-        for (l, row) in self.levels.iter().enumerate() {
-            for (k, mux) in row.iter().enumerate() {
+        for l in 0..self.depth() {
+            for (k, mux) in self.level(l).iter().enumerate() {
                 out.push(HangComponent {
                     name: format!("ch{c} level {l} mux {k}"),
                     state: mux.describe_state(),
                     busy: !mux.quiescent() || mux.storm_active(),
                 });
             }
-            for (k, ch) in self.links[l].iter().enumerate() {
-                out.push(channels_component(&format!("ch{c} level {l} link {k}"), ch));
+            let row = &self.wiring[self.level_starts[l]..self.level_starts[l + 1]];
+            for (k, w) in row.iter().enumerate() {
+                out.push(channels_component(
+                    &format!("ch{c} level {l} link {k}"),
+                    &self.bundles[w.down],
+                ));
             }
         }
         if !self.members.is_empty() {
@@ -1342,37 +1442,47 @@ fn run_fabric(
             match slots[i] {
                 Some((c, j)) => {
                     let hw = &mut channels_hw[c];
-                    let leaf = &mut hw.leaves[j];
                     if event {
-                        // A parked engine's state is frozen: only input on
-                        // its own leaf can change its wake.
+                        // A parked engine's state is frozen, and only its
+                        // leaf's register stage can change what it sees
+                        // there: look again only after that stage ran.
                         match parked[i] {
-                            Some(_) if !engine.leaf_wakes(leaf) => continue,
                             Some(since) => {
+                                if hw.leaf_ended_at[j] != cycles
+                                    || !engine.leaf_wakes(&hw.bundles[j])
+                                {
+                                    continue;
+                                }
                                 parked_ticks += replay_parked(engine, since, cycles);
                                 parked[i] = None;
                             }
-                            None if engine.next_wake_on(leaf) == Wake::Idle => {
+                            None if engine.next_wake_on(&hw.bundles[j]) == Wake::Idle => {
                                 parked[i] = Some(cycles);
                                 continue;
                             }
                             None => {}
                         }
                     }
-                    engine.tick(Some(leaf), hw.adapter.storage_mut());
+                    engine.tick(Some(&mut hw.bundles[j]), hw.adapter.storage_mut());
+                    hw.touch(j);
                 }
                 None => {
                     let hw = &mut channels_hw[placement.channel_of[i]];
                     engine.tick(None, hw.adapter.storage_mut());
                 }
             }
+            // Only a tick or a fast-forward can finish an engine, and a
+            // parked one has no countdown left to finish on.
+            if engine.done() {
+                done_at[i] = Some(cycles + 1);
+                live -= 1;
+            }
         }
         for hw in channels_hw.iter_mut() {
-            hw.tick();
-            hw.end_cycle();
+            hw.tick(event);
+            hw.end_cycle(event, cycles + 1);
         }
         cycles += 1;
-        live -= mark_finished(&engines, &mut done_at, cycles);
         let hung = cycles > sys.max_cycles;
         let progress = || {
             // The signature reads engine statistics: bring parked engines
@@ -1427,21 +1537,16 @@ fn run_fabric(
     }
     // Per-level occupancy, aggregated across channels (level 0 is the
     // leaf level of every channel's tree).
-    let depth = channels_hw
-        .iter()
-        .map(|hw| hw.levels.len())
-        .max()
-        .unwrap_or(0);
+    let depth = channels_hw.iter().map(ChannelHw::depth).max().unwrap_or(0);
     let levels: Vec<LevelOccupancy> = (0..depth)
         .map(|l| {
             let mut muxes = 0u32;
             let (mut ar_beats, mut r_beats) = (0u64, 0u64);
-            for hw in &channels_hw {
-                if let Some(row) = hw.levels.get(l) {
-                    muxes += row.len() as u32;
-                    ar_beats += row.iter().map(AxiMux::ar_forwarded).sum::<u64>();
-                    r_beats += row.iter().map(AxiMux::r_forwarded).sum::<u64>();
-                }
+            for hw in channels_hw.iter().filter(|hw| l < hw.depth()) {
+                let row = hw.level(l);
+                muxes += row.len() as u32;
+                ar_beats += row.iter().map(AxiMux::ar_forwarded).sum::<u64>();
+                r_beats += row.iter().map(AxiMux::r_forwarded).sum::<u64>();
             }
             LevelOccupancy {
                 level: l as u32,
@@ -1456,12 +1561,15 @@ fn run_fabric(
         .map(|hw| AdapterSnap::of(&hw.adapter))
         .collect();
     let chan_members: Vec<usize> = channels_hw.iter().map(|hw| hw.members.len()).collect();
-    let chan_depth: Vec<usize> = channels_hw.iter().map(|hw| hw.levels.len()).collect();
+    let chan_depth: Vec<usize> = channels_hw.iter().map(ChannelHw::depth).collect();
     // Consume the hardware: monitors out, per-channel storages out.
     let mut leaf_monitors: Vec<Monitor> = Vec::new();
     let mut root_monitors: Vec<Monitor> = Vec::new();
     let mut storages: Vec<Storage> = Vec::with_capacity(nch);
+    let (mut stage_visits, mut mux_ticks) = (0u64, 0u64);
     for hw in channels_hw {
+        stage_visits += hw.stage_visits;
+        mux_ticks += hw.mux_ticks;
         leaf_monitors.extend(hw.leaf_monitors);
         root_monitors.extend(hw.root_monitor);
         storages.push(hw.adapter.into_storage());
@@ -1486,6 +1594,8 @@ fn run_fabric(
         p.storage_digest = Some(memory_digest(&composed));
         p.sched = sched_stats;
         p.parked_ticks = parked_ticks;
+        p.stage_visits = stage_visits;
+        p.mux_ticks = mux_ticks;
     }
     // Fabric endpoint ID of a leaf-port fault: each level of the path
     // stacks its port prefix, exactly as the tree remaps on the way down.

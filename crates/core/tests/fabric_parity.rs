@@ -13,15 +13,46 @@
 //! memory channels — the deep-fabric path — and demands the event-driven
 //! and lockstep schedulers agree on every observable, the same oracle
 //! the flat corpus replay enforces, while event mode parks idle engines
-//! on their leaf ports.
+//! on their leaf ports, ends only the register stages something touched
+//! and skips idle muxes. A 32-requestor, three-level tree carries
+//! write-heavy scatter and spmv traffic through the same oracle, with
+//! and without transient faults.
 
 use axi_pack::differential::SEED_CORPUS;
 use axi_pack::{
     run_kernel, run_kernel_probed, run_system, run_system_probed, FabricSpec, Requestor, RunProbe,
-    SchedMode, SystemConfig, Topology,
+    SchedMode, SchedProbe, SystemConfig, SystemReport, Topology,
 };
+use simkit::FaultSpec;
 use vproc::SystemKind;
-use workloads::{gemv, spmv, synth, CsrMatrix, Dataflow};
+use workloads::{gemv, scatter, spmv, synth, CsrMatrix, Dataflow};
+
+/// Checks the work counters of one topology run in both modes: lockstep
+/// ends every one of the run's `bundles` register stages and ticks every
+/// one of its `muxes` on every cycle, while event mode does strictly
+/// less of both.
+fn assert_work_skipped(
+    ctx: &str,
+    cycles: u64,
+    (bundles, muxes): (u64, u64),
+    ev: &RunProbe,
+    lk: &RunProbe,
+) {
+    assert_eq!(lk.stage_visits, cycles * bundles, "{ctx}: lockstep stages");
+    assert_eq!(lk.mux_ticks, cycles * muxes, "{ctx}: lockstep mux ticks");
+    assert!(
+        ev.stage_visits < lk.stage_visits,
+        "{ctx}: event mode ended {} register stages, lockstep {}",
+        ev.stage_visits,
+        lk.stage_visits
+    );
+    assert!(
+        ev.mux_ticks < lk.mux_ticks,
+        "{ctx}: event mode ran {} mux ticks, lockstep {}",
+        ev.mux_ticks,
+        lk.mux_ticks
+    );
+}
 
 #[test]
 fn flat_reports_are_pinned_byte_for_byte() {
@@ -228,6 +259,8 @@ fn corpus_replays_on_an_eight_requestor_tree_across_modes() {
         }
         // One probe monitor per channel watched the root links.
         assert_eq!(ev_probe.roots.len(), 2, "{ctx}: root monitors");
+        // Per channel: 4 leaves plus 2 + 1 links, and 2 + 1 muxes.
+        assert_work_skipped(&ctx, lk.cycles, (14, 6), &ev_probe, &lk_probe);
         // Every remaining field of the system and requestor reports (AR
         // stalls included, which parking replays): Debug prints each
         // float exactly, so equal renderings mean equal bits.
@@ -245,4 +278,73 @@ fn corpus_replays_on_an_eight_requestor_tree_across_modes() {
         ev_parked > 0,
         "no corpus seed parked an engine on the trees"
     );
+}
+
+#[test]
+fn write_heavy_traffic_agrees_across_modes_on_a_three_level_tree() {
+    // 32 requestors on one channel through arity-4 muxes (32 → 8 → 2 → 1,
+    // fabric-128's depth per channel), alternating PACK and BASE and
+    // pairwise alternating scatter (indexed AW/W/B bursts) with spmv
+    // (indexed reads), so write traffic crosses every level. The whole report and the store must agree across modes,
+    // with and without transient faults (grant storms included).
+    for fault in [None, Some(FaultSpec::transient(23))] {
+        let mk_sys = |sched: SchedMode| {
+            let mut sys = SystemConfig::paper(SystemKind::Pack);
+            sys.sched = sched;
+            sys.fault = fault;
+            sys
+        };
+        let requestors: Vec<Requestor> = (0..32u64)
+            .map(|i| {
+                let kind = [SystemKind::Pack, SystemKind::Base][i as usize % 2];
+                let p = mk_sys(SchedMode::Event).kernel_params_for(kind);
+                let kernel = if i / 2 % 2 == 0 {
+                    scatter::build(96, 1.5, i, &p)
+                } else {
+                    spmv::build(&CsrMatrix::random(8, 64, 6.0, i), i, &p)
+                };
+                Requestor::new(kind, kernel)
+            })
+            .collect();
+        let run = |sched: SchedMode| -> (SystemReport, RunProbe) {
+            let topo = Topology::builder(&mk_sys(sched))
+                .requestors(requestors.clone())
+                .fabric(FabricSpec::tree(4))
+                .build()
+                .expect("32-way tree is DRC-clean");
+            let mut probe = RunProbe::default();
+            let report = run_system_probed(&topo, &mut probe).expect("tree run completes");
+            (report, probe)
+        };
+        let (ev, ev_probe) = run(SchedMode::Event);
+        let (lk, lk_probe) = run(SchedMode::Lockstep);
+        let ctx = format!("32-way tree, faults {}", fault.is_some());
+        let muxes: Vec<u32> = ev.levels.iter().map(|l| l.muxes).collect();
+        assert_eq!(muxes, [8, 2, 1], "{ctx}: three mux levels");
+        for (i, r) in ev
+            .requestors
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i / 2 % 2 == 0)
+        {
+            assert!(r.activity.w_payload_bytes > 0, "{ctx}: scatter {i} wrote");
+        }
+        if fault.is_some() {
+            assert!(ev.injected_faults > 0, "{ctx}: the plan injected nothing");
+        }
+        assert_eq!(format!("{ev:?}"), format!("{lk:?}"), "{ctx}: report");
+        assert_eq!(
+            ev_probe.storage_digest, lk_probe.storage_digest,
+            "{ctx}: store"
+        );
+        assert_eq!(
+            (lk_probe.parked_ticks, lk_probe.sched),
+            (0, SchedProbe::default()),
+            "{ctx}: lockstep neither parks nor skips"
+        );
+        assert!(ev_probe.parked_ticks > 0, "{ctx}: nothing parked");
+        assert_eq!(ev_probe.violation_summary(), None, "{ctx}: protocol");
+        // 32 leaves plus 8 + 2 + 1 links, and 8 + 2 + 1 muxes.
+        assert_work_skipped(&ctx, lk.cycles, (43, 11), &ev_probe, &lk_probe);
+    }
 }

@@ -353,21 +353,6 @@ impl Adapter {
             && self.mem.quiescent()
     }
 
-    /// Wake status for the event-driven scheduler: the merge of every
-    /// converter's wake, the response queues and the banked memory. A
-    /// quiescent adapter's tick consumes nothing from the bus-facing
-    /// channels (the caller must still check those separately) and mutates
-    /// only the cycle counter, which [`Adapter::skip_idle`] replays — so a
-    /// quiescent adapter may be skipped; anything in flight needs ticks.
-    #[inline]
-    pub fn next_wake(&self) -> simkit::sched::Wake {
-        if self.quiescent() {
-            simkit::sched::Wake::Idle
-        } else {
-            simkit::sched::Wake::Ready
-        }
-    }
-
     /// Replays the bookkeeping of `span` idle ticks in one call.
     ///
     /// A quiescent adapter's [`Adapter::tick`] + [`Adapter::end_cycle`]

@@ -456,17 +456,5 @@ impl BaseConverter {
             && self.w_lanes.idle()
     }
 
-    /// Wake status for the event-driven scheduler: an idle converter only
-    /// wakes when the adapter hands it a new transaction ("outstanding
-    /// counter hit zero" from the outside), anything in flight needs ticks.
-    #[inline]
-    pub fn wake(&self) -> simkit::sched::Wake {
-        if self.idle() {
-            simkit::sched::Wake::Idle
-        } else {
-            simkit::sched::Wake::Ready
-        }
-    }
-
     // simcheck: hot-path end
 }

@@ -477,17 +477,6 @@ impl IndirectReadConverter {
             && self.elem_lanes.idle()
     }
 
-    /// Wake status for the event-driven scheduler: idle converters wake
-    /// only on a new packed burst from the adapter.
-    #[inline]
-    pub fn wake(&self) -> simkit::sched::Wake {
-        if self.idle() {
-            simkit::sched::Wake::Idle
-        } else {
-            simkit::sched::Wake::Ready
-        }
-    }
-
     // simcheck: hot-path end
 }
 
@@ -749,17 +738,6 @@ impl IndirectWriteConverter {
             && self.w_buf.is_empty()
             && self.idx.idle()
             && self.elem_lanes.idle()
-    }
-
-    /// Wake status for the event-driven scheduler: idle converters wake
-    /// only on a new packed burst from the adapter.
-    #[inline]
-    pub fn wake(&self) -> simkit::sched::Wake {
-        if self.idle() {
-            simkit::sched::Wake::Idle
-        } else {
-            simkit::sched::Wake::Ready
-        }
     }
 
     // simcheck: hot-path end

@@ -202,6 +202,10 @@ pub struct LaneSet {
     /// Planned jobs across all lanes, maintained incrementally so the
     /// adapter's per-cycle activity gating is O(1).
     total_jobs: usize,
+    /// Credits taken across all lanes and not yet returned — words in
+    /// flight, held for retry order, or parked in a decoupling queue — so
+    /// [`LaneSet::idle`] is O(1) too.
+    credits_out: usize,
     /// Tag all requests carry.
     id: ConvId,
     word_bytes: usize,
@@ -217,6 +221,7 @@ impl LaneSet {
             awaiting: vec![0; ports],
             retry: (0..ports).map(|_| None).collect(),
             total_jobs: 0,
+            credits_out: 0,
             id,
             word_bytes,
         }
@@ -284,6 +289,7 @@ impl LaneSet {
             "zero-strobe writes must be drained with take_local_ack"
         );
         assert!(self.credits[lane].take(), "wants() guaranteed a credit");
+        self.credits_out += 1;
         let job = self.jobs[lane].pop_front().expect("wants() checked front");
         self.total_jobs -= 1;
         self.awaiting[lane] += 1;
@@ -333,6 +339,7 @@ impl LaneSet {
     pub fn pop_resp(&mut self, lane: usize) -> WordResp {
         let r = self.resp[lane].pop_front().expect("pop_resp on empty lane");
         self.credits[lane].put();
+        self.credits_out -= 1;
         r
     }
 
@@ -359,11 +366,20 @@ impl LaneSet {
     }
 
     /// Returns `true` when no jobs, responses, or in-flight words remain.
+    ///
+    /// Every response and retry state holds a credit until it drains, so
+    /// the two counters cover them.
+    #[inline]
     pub fn idle(&self) -> bool {
-        self.jobs.iter().all(VecDeque::is_empty)
-            && self.resp.iter().all(VecDeque::is_empty)
-            && self.credits.iter().all(|c| c.in_flight() == 0)
-            && self.retry.iter().all(Option::is_none)
+        debug_assert_eq!(
+            self.total_jobs == 0 && self.credits_out == 0,
+            self.jobs.iter().all(VecDeque::is_empty)
+                && self.resp.iter().all(VecDeque::is_empty)
+                && self.credits.iter().all(|c| c.in_flight() == 0)
+                && self.retry.iter().all(Option::is_none),
+            "lane busy counts out of step with the lanes"
+        );
+        self.total_jobs == 0 && self.credits_out == 0
     }
 
     /// Total planned jobs across lanes (for back-pressure and activity
@@ -430,6 +446,7 @@ impl LaneSet {
     /// displacement counter.
     fn reissue(&mut self, lane: usize, resp: &WordResp) {
         self.credits[lane].put();
+        self.credits_out -= 1;
         let job = if resp.is_write {
             LaneJob::Write {
                 addr: resp.word_addr,

@@ -219,17 +219,6 @@ impl StridedReadConverter {
         self.pack_q.is_empty() && self.lanes.idle()
     }
 
-    /// Wake status for the event-driven scheduler: idle converters wake
-    /// only on a new packed burst from the adapter.
-    #[inline]
-    pub fn wake(&self) -> simkit::sched::Wake {
-        if self.idle() {
-            simkit::sched::Wake::Idle
-        } else {
-            simkit::sched::Wake::Ready
-        }
-    }
-
     // simcheck: hot-path end
 }
 
@@ -428,17 +417,6 @@ impl StridedWriteConverter {
     /// Returns `true` when nothing is in flight.
     pub fn idle(&self) -> bool {
         self.bursts.is_empty() && self.b_ready.is_empty() && self.lanes.idle()
-    }
-
-    /// Wake status for the event-driven scheduler: idle converters wake
-    /// only on a new packed burst from the adapter.
-    #[inline]
-    pub fn wake(&self) -> simkit::sched::Wake {
-        if self.idle() {
-            simkit::sched::Wake::Idle
-        } else {
-            simkit::sched::Wake::Ready
-        }
     }
 
     // simcheck: hot-path end

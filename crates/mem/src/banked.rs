@@ -162,6 +162,17 @@ struct BankFaults {
     spike_stalls: u64,
 }
 
+/// A port register's request with its bank and, under the row-buffer
+/// model, its row — decoded once when the request is presented, not on
+/// every grant round it waits through.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    req: WordReq,
+    bank: usize,
+    /// Row-buffer row (`0` while the row-buffer model is off).
+    row: u64,
+}
+
 /// A banked, word-interleaved memory with exact conflict modeling.
 ///
 /// Each cycle:
@@ -184,15 +195,18 @@ pub struct BankedMemory {
     map: BankMap,
     storage: Storage,
     /// One pending-request register per port.
-    pending: Vec<Option<WordReq>>,
+    pending: Vec<Option<Pending>>,
+    /// Requests accepted and not yet completed — port registers plus
+    /// accesses in flight — so quiescence is one compare.
+    busy: usize,
     /// Per-bank access pipelines.
     banks: Vec<Pipeline<WordReq>>,
     /// Per-bank arbiter across ports.
     arbs: Vec<RoundRobin>,
     /// Conflict-free mode: requests accepted this cycle.
-    ideal_overflow: Vec<WordReq>,
+    ideal_overflow: Vec<Pending>,
     /// Conflict-free mode: accepted request groups awaiting their latency.
-    ideal_delay: std::collections::VecDeque<Vec<WordReq>>,
+    ideal_delay: std::collections::VecDeque<Vec<Pending>>,
     /// Grant-phase request masks, one bit per port, one mask per bank —
     /// reused every cycle so arbitration never allocates or loops over
     /// idle ports.
@@ -243,6 +257,7 @@ impl BankedMemory {
             map,
             storage,
             pending: (0..cfg.ports).map(|_| None).collect(),
+            busy: 0,
             banks: (0..cfg.banks)
                 .map(|_| Pipeline::new(cfg.latency.max(1)))
                 .collect(),
@@ -308,9 +323,9 @@ impl BankedMemory {
     /// word-aligned.
     pub fn try_issue(&mut self, req: WordReq) -> bool {
         assert!(req.port < self.cfg.ports, "port {} out of range", req.port);
-        assert_eq!(
-            req.word_addr % self.cfg.word_bytes as Addr,
-            0,
+        // `BankMap::new` guarantees a power-of-two word width.
+        assert!(
+            req.word_addr & (self.cfg.word_bytes as Addr - 1) == 0,
             "word address 0x{:x} not aligned to {} B",
             req.word_addr,
             self.cfg.word_bytes
@@ -319,7 +334,16 @@ impl BankedMemory {
         if self.pending[port].is_some() {
             return false;
         }
-        self.pending[port] = Some(req);
+        let row = match self.cfg.row_words {
+            0 => 0,
+            words => self.map.row_of(req.word_addr) / words as u64,
+        };
+        self.pending[port] = Some(Pending {
+            req,
+            bank: self.map.bank_of(req.word_addr),
+            row,
+        });
+        self.busy += 1;
         true
     }
 
@@ -347,15 +371,14 @@ impl BankedMemory {
             // Ideal memory: every port's request is accepted every cycle and
             // served after the configured latency, regardless of banks.
             for slot in self.pending.iter_mut() {
-                if let Some(req) = slot.take() {
-                    self.ideal_overflow.push(req);
+                if let Some(p) = slot.take() {
+                    self.ideal_overflow.push(p);
                 }
             }
         } else {
             self.dirty_banks.clear();
             for (p, slot) in self.pending.iter().enumerate() {
-                if let Some(req) = slot {
-                    let b = self.map.bank_of(req.word_addr);
+                if let Some(&Pending { bank: b, .. }) = slot.as_ref() {
                     if self.wants_scratch[b] == 0 {
                         self.dirty_banks.push(b);
                     }
@@ -407,29 +430,27 @@ impl BankedMemory {
                             hits => hits,
                         };
                         if let Some(p) = self.arbs[b].grant_mask(choose) {
-                            let req = self.pending[p].take().expect("granted port has request");
+                            let granted = self.pending[p].take().expect("granted port has request");
                             if self.cfg.row_words > 0 {
-                                let row =
-                                    self.map.row_of(req.word_addr) / self.cfg.row_words as u64;
-                                if self.open_rows[b] == Some(row) {
+                                if self.open_rows[b] == Some(granted.row) {
                                     self.row_hits += 1;
-                                    self.banks[b].insert(req);
+                                    self.banks[b].insert(granted.req);
                                 } else {
                                     // Row miss: open the row and charge the
                                     // activation penalty; the request
                                     // retries — and wins, as a hit — once
                                     // the window elapses.
-                                    self.open_rows[b] = Some(row);
+                                    self.open_rows[b] = Some(granted.row);
                                     self.row_misses += 1;
                                     if self.cfg.row_miss_penalty == 0 {
-                                        self.banks[b].insert(req);
+                                        self.banks[b].insert(granted.req);
                                     } else {
                                         self.row_stall[b] = self.cfg.row_miss_penalty;
-                                        self.pending[p] = Some(req);
+                                        self.pending[p] = Some(granted);
                                     }
                                 }
                             } else {
-                                self.banks[b].insert(req);
+                                self.banks[b].insert(granted.req);
                             }
                         }
                     }
@@ -443,7 +464,7 @@ impl BankedMemory {
         // register rotation — with 17 banks and at most `ports` grants
         // per cycle most banks are idle in any given cycle.
         let commit = self.cfg.commit_writes;
-        for bank in self.banks.iter_mut() {
+        for (b, bank) in self.banks.iter_mut().enumerate() {
             if bank.is_empty() {
                 continue;
             }
@@ -451,7 +472,7 @@ impl BankedMemory {
                 let ordinal = self.total_accesses;
                 responses.push(Self::access(
                     &mut self.storage,
-                    &self.map,
+                    b,
                     self.cfg.word_bytes,
                     &mut self.faults,
                     &mut self.decode_faults,
@@ -460,6 +481,7 @@ impl BankedMemory {
                     commit,
                 ));
                 self.total_accesses += 1;
+                self.busy -= 1;
             }
         }
         // Ideal path: serve everything accepted `latency` cycles ago.
@@ -467,19 +489,20 @@ impl BankedMemory {
             self.ideal_delay
                 .push_back(std::mem::take(&mut self.ideal_overflow));
             if self.ideal_delay.len() >= self.cfg.latency.max(1) {
-                for req in self.ideal_delay.pop_front().expect("nonempty") {
+                for p in self.ideal_delay.pop_front().expect("nonempty") {
                     let ordinal = self.total_accesses;
                     responses.push(Self::access(
                         &mut self.storage,
-                        &self.map,
+                        p.bank,
                         self.cfg.word_bytes,
                         &mut self.faults,
                         &mut self.decode_faults,
                         ordinal,
-                        req,
+                        p.req,
                         commit,
                     ));
                     self.total_accesses += 1;
+                    self.busy -= 1;
                 }
             }
         }
@@ -500,8 +523,8 @@ impl BankedMemory {
         while m != 0 {
             let p = m.trailing_zeros() as usize;
             m &= m - 1;
-            let req = self.pending[p].as_ref().expect("wanting port has request");
-            if self.map.row_of(req.word_addr) / self.cfg.row_words as u64 == open {
+            let pending = self.pending[p].as_ref().expect("wanting port has request");
+            if pending.row == open {
                 hits |= 1 << p;
             }
         }
@@ -516,7 +539,7 @@ impl BankedMemory {
     #[allow(clippy::too_many_arguments)]
     fn access(
         storage: &mut Storage,
-        map: &BankMap,
+        bank: usize,
         word_bytes: usize,
         faults: &mut Option<BankFaults>,
         decode_faults: &mut u64,
@@ -535,8 +558,7 @@ impl BankedMemory {
             // The transient stream is consulted on *every* access so its
             // ordinals stay aligned whatever other fault class fires.
             let transient = f.access.fires();
-            let persistent = f.persistent_bank == Some(map.bank_of(req.word_addr))
-                && ordinal >= f.persistent_from;
+            let persistent = f.persistent_bank == Some(bank) && ordinal >= f.persistent_from;
             if fault.is_none() && (transient || persistent) {
                 fault = Some(WordFault::Slave);
                 f.injected += 1;
@@ -656,24 +678,17 @@ impl BankedMemory {
     }
 
     /// Returns `true` when no request is pending or in flight.
-    pub fn quiescent(&self) -> bool {
-        self.pending.iter().all(Option::is_none)
-            && self.banks.iter().all(Pipeline::is_empty)
-            && self.ideal_overflow.is_empty()
-            && self.ideal_delay.iter().all(Vec::is_empty)
-    }
-
-    /// Wake status for the event-driven scheduler: a quiescent memory
-    /// (every bank pipeline drained, no pending port requests) only wakes
-    /// when the controller issues a new word request; anything in flight
-    /// must keep shifting through the bank pipelines each cycle.
     #[inline]
-    pub fn wake(&self) -> simkit::sched::Wake {
-        if self.quiescent() {
-            simkit::sched::Wake::Idle
-        } else {
-            simkit::sched::Wake::Ready
-        }
+    pub fn quiescent(&self) -> bool {
+        debug_assert_eq!(
+            self.busy == 0,
+            self.pending.iter().all(Option::is_none)
+                && self.banks.iter().all(Pipeline::is_empty)
+                && self.ideal_overflow.is_empty()
+                && self.ideal_delay.iter().all(Vec::is_empty),
+            "busy count out of step with the port registers and pipelines"
+        );
+        self.busy == 0
     }
 }
 

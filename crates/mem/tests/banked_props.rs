@@ -1,8 +1,126 @@
 //! Property tests: the banked memory is functionally a plain memory under
-//! any request schedule, and its address mapping is a bijection.
+//! any request schedule, its address mapping is a bijection, and its
+//! timing matches a reference that re-decodes every waiting request.
 
-use banked_mem::{BankConfig, BankMap, BankedMemory, Storage, WordOp, WordReq};
+use banked_mem::{BankConfig, BankMap, BankedMemory, Storage, WordBuf, WordOp, WordReq, WordResp};
 use proptest::prelude::*;
+use simkit::{Pipeline, RoundRobin};
+
+/// The grant policy of [`BankedMemory`] written the direct way: every
+/// grant round decodes each waiting request's bank and row from its
+/// address again, where the memory decodes them once at issue. Per bank,
+/// requests hitting the open row win over misses, round-robin decides
+/// among the chosen, a miss opens its row and waits out the activation
+/// penalty, and a granted request emerges after the bank latency.
+struct Redecode {
+    cfg: BankConfig,
+    map: BankMap,
+    storage: Storage,
+    pending: Vec<Option<WordReq>>,
+    banks: Vec<Pipeline<WordReq>>,
+    arbs: Vec<RoundRobin>,
+    open_rows: Vec<Option<u64>>,
+    row_stall: Vec<usize>,
+    conflicts: u64,
+    row_hits: u64,
+    row_misses: u64,
+}
+
+impl Redecode {
+    fn new(cfg: BankConfig, storage: Storage) -> Self {
+        Redecode {
+            map: BankMap::new(cfg.banks, cfg.word_bytes),
+            storage,
+            pending: vec![None; cfg.ports],
+            banks: (0..cfg.banks).map(|_| Pipeline::new(cfg.latency)).collect(),
+            arbs: (0..cfg.banks).map(|_| RoundRobin::new(cfg.ports)).collect(),
+            open_rows: vec![None; cfg.banks],
+            row_stall: vec![0; cfg.banks],
+            cfg,
+            conflicts: 0,
+            row_hits: 0,
+            row_misses: 0,
+        }
+    }
+
+    fn row(&self, req: &WordReq) -> u64 {
+        self.map.row_of(req.word_addr) / self.cfg.row_words as u64
+    }
+
+    fn end_cycle(&mut self) -> Vec<WordResp> {
+        for b in 0..self.cfg.banks {
+            let mut want = 0u32;
+            for (p, slot) in self.pending.iter().enumerate() {
+                if slot.is_some_and(|req| self.map.bank_of(req.word_addr) == b) {
+                    want |= 1 << p;
+                }
+            }
+            if want == 0 {
+                continue;
+            }
+            self.conflicts += u64::from(want.count_ones() - 1);
+            if self.row_stall[b] > 0 {
+                self.row_stall[b] -= 1;
+                continue;
+            }
+            let mut hits = 0u32;
+            if self.cfg.row_words > 0 {
+                for (p, slot) in self.pending.iter().enumerate() {
+                    if want >> p & 1 == 1 && self.open_rows[b] == slot.map(|r| self.row(&r)) {
+                        hits |= 1 << p;
+                    }
+                }
+            }
+            let p = self.arbs[b]
+                .grant_mask(if hits == 0 { want } else { hits })
+                .expect("a contender wins");
+            let req = self.pending[p].take().expect("granted port has a request");
+            if self.cfg.row_words == 0 {
+                self.banks[b].insert(req);
+            } else if self.open_rows[b] == Some(self.row(&req)) {
+                self.row_hits += 1;
+                self.banks[b].insert(req);
+            } else {
+                self.open_rows[b] = Some(self.row(&req));
+                self.row_misses += 1;
+                if self.cfg.row_miss_penalty == 0 {
+                    self.banks[b].insert(req);
+                } else {
+                    self.row_stall[b] = self.cfg.row_miss_penalty;
+                    self.pending[p] = Some(req);
+                }
+            }
+        }
+        let mut out = Vec::new();
+        for b in 0..self.cfg.banks {
+            let Some(req) = self.banks[b].end_cycle() else {
+                continue;
+            };
+            let (data, is_write, strb) = match req.op {
+                WordOp::Read => {
+                    let mut data = WordBuf::zeroed(self.cfg.word_bytes);
+                    self.storage.read(req.word_addr, &mut data);
+                    (data, false, 0)
+                }
+                WordOp::Write { data, strb } => {
+                    self.storage
+                        .write_masked(req.word_addr, &data, u128::from(strb));
+                    (data, true, strb)
+                }
+            };
+            out.push(WordResp {
+                port: req.port,
+                word_addr: req.word_addr,
+                data,
+                is_write,
+                tag: req.tag,
+                fault: None,
+                strb,
+            });
+        }
+        out
+    }
+}
 
 proptest! {
     /// (bank, row) uniquely identifies every word for any bank count.
@@ -122,5 +240,70 @@ proptest! {
         for (addr, v) in dedup {
             prop_assert_eq!(mem.storage().read_u32(addr), v);
         }
+    }
+
+    /// Decoding a request's bank and row once at issue is invisible:
+    /// under random mixed traffic the memory returns the same responses
+    /// in the same cycles, counts the same conflicts and row activations,
+    /// and leaves the same store as a model that re-decodes every
+    /// waiting request on every grant round — with and without row
+    /// buffers.
+    #[test]
+    fn cached_decode_matches_a_per_round_redecode(
+        banks in prop_oneof![Just(8usize), Just(11), Just(16), Just(17)],
+        latency in 1usize..4,
+        ports in 1usize..9,
+        rows in prop_oneof![Just((0usize, 0usize)), Just((0, 5)), Just((4, 0)), Just((8, 6)), Just((16, 3))],
+        ops in proptest::collection::vec((0u64..512, proptest::bool::ANY, proptest::num::u32::ANY), 1..160),
+    ) {
+        let (row_words, row_miss_penalty) = rows;
+        let cfg = BankConfig {
+            banks,
+            word_bytes: 4,
+            latency,
+            ports,
+            conflict_free: false,
+            commit_writes: true,
+            row_words,
+            row_miss_penalty,
+        };
+        let mut storage = Storage::new(1 << 12);
+        for w in 0..(1 << 10) {
+            storage.write_u32(w * 4, (w as u32).wrapping_mul(0x9e37_79b9));
+        }
+        let mut reference = Redecode::new(cfg, storage.clone());
+        let mut mem = BankedMemory::new(cfg, storage);
+        let mut next = ops.iter().enumerate();
+        let mut served = 0usize;
+        let mut cycle = 0u64;
+        while served < ops.len() {
+            for port in 0..ports {
+                prop_assert_eq!(mem.port_free(port), reference.pending[port].is_none());
+                if !mem.port_free(port) {
+                    continue;
+                }
+                let Some((tag, &(word, write, value))) = next.next() else {
+                    break;
+                };
+                let op = if write {
+                    WordOp::Write { data: value.to_le_bytes().into(), strb: value & 0xf }
+                } else {
+                    WordOp::Read
+                };
+                let req = WordReq { port, word_addr: word * 4, op, tag: tag as u64 };
+                prop_assert!(mem.try_issue(req));
+                reference.pending[port] = Some(req);
+            }
+            let got = mem.end_cycle();
+            prop_assert_eq!(&got, &reference.end_cycle(), "cycle {}", cycle);
+            served += got.len();
+            cycle += 1;
+            prop_assert!(cycle < 100_000, "memory hung");
+        }
+        prop_assert!(mem.quiescent());
+        prop_assert_eq!(mem.conflict_stall_events(), reference.conflicts);
+        prop_assert_eq!((mem.row_hits(), mem.row_misses()), (reference.row_hits, reference.row_misses));
+        prop_assert_eq!(mem.total_accesses(), ops.len() as u64);
+        prop_assert_eq!(mem.storage().as_bytes(), reference.storage.as_bytes());
     }
 }

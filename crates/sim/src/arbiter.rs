@@ -63,14 +63,26 @@ impl RoundRobin {
     #[inline]
     pub fn grant(&mut self, requests: &[bool]) -> Option<usize> {
         assert_eq!(requests.len(), self.n, "request vector width mismatch");
-        for off in 0..self.n {
-            let idx = (self.next + off) % self.n;
-            if requests[idx] {
-                self.next = (idx + 1) % self.n;
-                return Some(idx);
-            }
+        // Probe from the priority index to the end, then wrap to the
+        // start: two plain scans instead of a divide per probe.
+        let (tail, head) = requests.split_at(self.next);
+        let idx = match head.iter().position(|&r| r) {
+            Some(off) => self.next + off,
+            None => tail.iter().position(|&r| r)?,
+        };
+        self.next = self.wrap(idx + 1);
+        Some(idx)
+    }
+
+    /// Maps an index in `0..2n` back into `0..n` with a compare instead
+    /// of a divide.
+    #[inline]
+    fn wrap(&self, idx: usize) -> usize {
+        if idx >= self.n {
+            idx - self.n
+        } else {
+            idx
         }
-        None
     }
 
     /// Grants from a bitmask request vector (bit *i* = requestor *i*
@@ -105,8 +117,8 @@ impl RoundRobin {
             ((mask >> next) | (mask << (n - next))) & lane_mask
         };
         let off = rotated.trailing_zeros() as usize;
-        let idx = (self.next + off) % self.n;
-        self.next = (idx + 1) % self.n;
+        let idx = self.wrap(self.next + off);
+        self.next = self.wrap(idx + 1);
         Some(idx)
     }
 
@@ -114,8 +126,8 @@ impl RoundRobin {
     #[inline]
     pub fn peek(&self, requests: &[bool]) -> Option<usize> {
         assert_eq!(requests.len(), self.n, "request vector width mismatch");
-        (0..self.n)
-            .map(|off| (self.next + off) % self.n)
+        (self.next..self.n)
+            .chain(0..self.next)
             .find(|&idx| requests[idx])
     }
 }
@@ -168,6 +180,58 @@ mod tests {
         for m in [0b10110u32, 0b00001, 0b11111, 0b01000] {
             let bools: Vec<bool> = (0..5).map(|i| m >> i & 1 == 1).collect();
             assert_eq!(a.grant_mask(m), b.grant(&bools));
+        }
+    }
+
+    /// The divide-per-probe policy the arbiter implements, kept as the
+    /// reference the compare-wrapped scans must match.
+    fn reference_grant(n: usize, next: &mut usize, mask: u32) -> Option<usize> {
+        for off in 0..n {
+            let idx = (*next + off) % n;
+            if mask >> idx & 1 == 1 {
+                *next = (idx + 1) % n;
+                return Some(idx);
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn division_free_grants_match_the_modulo_reference() {
+        // splitmix64: every width 1..=32, every start position, a spread
+        // of random masks (dense, sparse and empty) and follow-up rounds
+        // from wherever the priority rotated to.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for n in 1..=32usize {
+            let width = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
+            for start in 0..n {
+                let (mut a, mut b) = (RoundRobin::new(n), RoundRobin::new(n));
+                a.next = start;
+                b.next = start;
+                let mut want = start;
+                for round in 0..24 {
+                    let raw = draw() as u32;
+                    let mask = match round % 3 {
+                        0 => raw,
+                        1 => raw & (raw >> 7) & (raw >> 13),
+                        _ => raw & (raw >> 5) & (raw >> 11) & (raw >> 17),
+                    } & width;
+                    let bools: Vec<bool> = (0..n).map(|i| mask >> i & 1 == 1).collect();
+                    let expect = reference_grant(n, &mut want, mask);
+                    let ctx = format!("n {n} start {start} round {round} mask {mask:#x}");
+                    assert_eq!(a.peek(&bools), expect, "peek, {ctx}");
+                    assert_eq!(a.grant(&bools), expect, "grant, {ctx}");
+                    assert_eq!(b.grant_mask(mask), expect, "grant_mask, {ctx}");
+                    assert_eq!((a.next, b.next), (want, want), "priority, {ctx}");
+                }
+            }
         }
     }
 

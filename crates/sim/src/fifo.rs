@@ -181,23 +181,6 @@ impl<T> Fifo<T> {
         self.queue.iter()
     }
 
-    /// Wake status for the event-driven scheduler.
-    ///
-    /// A FIFO is [`crate::sched::Wake::Ready`] whenever it holds *any* item
-    /// — visible or staged — because staged items still need an
-    /// [`Fifo::end_cycle`] to promote them, which a skipped cycle would
-    /// omit. A fully drained FIFO only changes state on external pushes, so
-    /// it reports [`crate::sched::Wake::Idle`] (the wake condition is "FIFO
-    /// became non-empty").
-    #[inline]
-    pub fn wake(&self) -> crate::sched::Wake {
-        if self.is_empty() {
-            crate::sched::Wake::Idle
-        } else {
-            crate::sched::Wake::Ready
-        }
-    }
-
     /// Iterates over the items pushed *this* cycle (not yet visible to
     /// `pop`), oldest first.
     ///

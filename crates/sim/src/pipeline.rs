@@ -120,21 +120,6 @@ impl<T> Pipeline<T> {
             .position(Option::is_some)
             .map(|i| i as u64 + 1)
     }
-
-    /// Wake status for the event-driven scheduler.
-    ///
-    /// A drained pipeline is [`crate::sched::Wake::Idle`] (the wake
-    /// condition is "pipeline drained" from the consumer's point of view);
-    /// otherwise it must be ticked so stages shift, and the in-flight items
-    /// make it [`crate::sched::Wake::Ready`].
-    #[inline]
-    pub fn wake(&self) -> crate::sched::Wake {
-        if self.in_flight == 0 {
-            crate::sched::Wake::Idle
-        } else {
-            crate::sched::Wake::Ready
-        }
-    }
 }
 
 #[cfg(test)]

@@ -26,8 +26,7 @@
 //! drains (e.g. the in-place transpose), and must be zero for read-only
 //! kernels — integration tests assert exactly that.
 
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use axi_proto::{Addr, ArBeat, AxiChannels, BeatBuf, BusConfig, ElemSize, IdxSize, Resp, WBeat};
@@ -132,6 +131,7 @@ enum Class {
 
 #[derive(Debug)]
 struct InFlight {
+    uid: u64,
     vl: usize,
     produced: usize,
     class: Class,
@@ -216,8 +216,8 @@ pub struct Engine {
     program: Arc<Program>,
     pc: usize,
     vl: usize,
-    window: UidMap<InFlight>,
-    order: VecDeque<u64>,
+    /// In-flight instructions in issue order, which is also uid order.
+    window: VecDeque<InFlight>,
     reg_writer: [u64; 32],
     next_uid: u64,
     next_axi_id: u8,
@@ -244,30 +244,20 @@ pub struct Engine {
 /// Sentinel "no writer" uid (uids start at 1).
 const NO_WRITER: u64 = 0;
 
-/// Identity hasher for uid keys: uids are sequential `u64`s, so hashing
-/// them through SipHash on every window lookup of every cycle is pure
-/// overhead. The in-flight window is tiny (≤ `cfg.window` entries) and
-/// its keys are unique by construction.
-#[derive(Debug, Default)]
-struct UidHasher(u64);
-
-impl Hasher for UidHasher {
-    #[inline]
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("uid keys hash via write_u64");
-    }
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
+/// The in-flight entry of `uid`, if it has not retired. Uids grow with
+/// issue and the window keeps issue order, so a binary search finds it.
+#[inline]
+fn in_window(window: &VecDeque<InFlight>, uid: u64) -> Option<&InFlight> {
+    let i = window.binary_search_by_key(&uid, |e| e.uid).ok()?;
+    Some(&window[i])
 }
 
-/// The uid-keyed in-flight window map.
-type UidMap<V> = HashMap<u64, V, BuildHasherDefault<UidHasher>>;
+/// Mutable [`in_window`].
+#[inline]
+fn in_window_mut(window: &mut VecDeque<InFlight>, uid: u64) -> Option<&mut InFlight> {
+    let i = window.binary_search_by_key(&uid, |e| e.uid).ok()?;
+    Some(&mut window[i])
+}
 
 impl Engine {
     /// Creates an engine for the given system kind and program.
@@ -297,8 +287,7 @@ impl Engine {
             program: program.into(),
             pc: 0,
             vl: cfg.max_vl(),
-            window: UidMap::default(),
-            order: VecDeque::new(),
+            window: VecDeque::new(),
             reg_writer: [NO_WRITER; 32],
             next_uid: 1,
             next_axi_id: 0,
@@ -427,7 +416,7 @@ impl Engine {
             run.b_received += 1;
             if run.b_received == run.b_expected {
                 let uid = run.uid;
-                if let Some(e) = self.window.get_mut(&uid) {
+                if let Some(e) = in_window_mut(&mut self.window, uid) {
                     if let Class::Store { done } = &mut e.class {
                         *done = true;
                     }
@@ -470,7 +459,7 @@ impl Engine {
                     Some((_, need)) => {
                         let avail = match src_uid {
                             Some(uid) if uid != NO_WRITER => {
-                                self.window.get(&uid).map_or(usize::MAX, |e| e.produced)
+                                in_window(&self.window, uid).map_or(usize::MAX, |e| e.produced)
                             }
                             _ => usize::MAX,
                         };
@@ -542,7 +531,7 @@ impl Engine {
         let received = run.received_elems;
         let finished = run.received_elems >= run.total_elems;
         let is_index = run.is_index;
-        if let Some(e) = self.window.get_mut(&uid) {
+        if let Some(e) = in_window_mut(&mut self.window, uid) {
             e.produced = received;
         }
         if finished {
@@ -622,7 +611,7 @@ impl Engine {
         }
         let avail = match run.src_uid {
             Some(uid) if uid != NO_WRITER => {
-                self.window.get(&uid).map_or(usize::MAX, |e| e.produced)
+                in_window(&self.window, uid).map_or(usize::MAX, |e| e.produced)
             }
             _ => usize::MAX,
         };
@@ -656,7 +645,7 @@ impl Engine {
         let uid = run.uid;
         let transferred = run.transferred;
         let finished = run.transferred >= run.total;
-        if let Some(e) = self.window.get_mut(&uid) {
+        if let Some(e) = in_window_mut(&mut self.window, uid) {
             e.produced = transferred;
             if finished {
                 if let Class::Store { done } = &mut e.class {
@@ -682,10 +671,8 @@ impl Engine {
         // window is small (≤ cfg.window entries), so linear lookup wins
         // over any hashing.
         self.progress_scratch.clear();
-        for uid in &self.order {
-            if let Some(e) = self.window.get(uid) {
-                self.progress_scratch.push((*uid, e.produced));
-            }
+        for e in &self.window {
+            self.progress_scratch.push((e.uid, e.produced));
         }
         let snapshot = &self.progress_scratch;
         let progress = |uid: u64| -> usize {
@@ -699,14 +686,10 @@ impl Engine {
             }
         };
         let mut budget = self.cfg.lanes;
-        for i in 0..self.order.len() {
+        for entry in self.window.iter_mut() {
             if budget == 0 {
                 break;
             }
-            let uid = self.order[i];
-            let Some(entry) = self.window.get_mut(&uid) else {
-                continue;
-            };
             match &mut entry.class {
                 Class::Compute {
                     srcs,
@@ -771,7 +754,7 @@ impl Engine {
         // row-wise dataflows reduction-bound in the paper's Fig. 3b/3c.
         if let Some(VInsn::ScalarStoreF32 { vs, .. }) = self.program.insns().get(self.pc) {
             let producer = self.reg_writer[*vs as usize];
-            if producer != NO_WRITER && self.window.contains_key(&producer) {
+            if producer != NO_WRITER && in_window(&self.window, producer).is_some() {
                 self.stats.scalar_stall_cycles += 1;
                 return;
             }
@@ -802,15 +785,12 @@ impl Engine {
                 self.next_uid += 1;
                 let vl = self.vl;
                 let class = self.classify(&insn);
-                self.window.insert(
+                self.window.push_back(InFlight {
                     uid,
-                    InFlight {
-                        vl,
-                        produced: 0,
-                        class,
-                    },
-                );
-                self.order.push_back(uid);
+                    vl,
+                    produced: 0,
+                    class,
+                });
                 if insn.is_mem() {
                     let run = self.build_mem_run(uid, &insn);
                     self.mem_q.push_back(run);
@@ -978,7 +958,7 @@ impl Engine {
         if uid == NO_WRITER {
             usize::MAX
         } else {
-            self.window.get(&uid).map_or(usize::MAX, |e| e.produced)
+            in_window(&self.window, uid).map_or(usize::MAX, |e| e.produced)
         }
     }
 
@@ -1064,10 +1044,7 @@ impl Engine {
         // Lanes: any compute or reduction that can consume produces work.
         // Blocked consumers are governed by their producer's wake (checked
         // in the same pass); load/store window entries by the back-end.
-        for uid in &self.order {
-            let Some(entry) = self.window.get(uid) else {
-                continue;
-            };
+        for entry in &self.window {
             match &entry.class {
                 Class::Compute { srcs, .. } => {
                     let avail = srcs
@@ -1106,7 +1083,7 @@ impl Engine {
             match self.program.insns().get(self.pc) {
                 Some(VInsn::ScalarStoreF32 { vs, .. }) => {
                     let producer = self.reg_writer[*vs as usize];
-                    if producer == NO_WRITER || !self.window.contains_key(&producer) {
+                    if producer == NO_WRITER || in_window(&self.window, producer).is_none() {
                         return Wake::Ready;
                     }
                 }
@@ -1159,18 +1136,14 @@ impl Engine {
         } else if self.window.len() < self.cfg.window {
             if let Some(VInsn::ScalarStoreF32 { vs, .. }) = self.program.insns().get(self.pc) {
                 let producer = self.reg_writer[*vs as usize];
-                if producer != NO_WRITER && self.window.contains_key(&producer) {
+                if producer != NO_WRITER && in_window(&self.window, producer).is_some() {
                     self.stats.scalar_stall_cycles += span;
                 }
             }
         }
         // Reduction tails count down once per tick regardless of the lane
         // budget (nothing else can be consuming it — the span proof).
-        for i in 0..self.order.len() {
-            let uid = self.order[i];
-            let Some(entry) = self.window.get_mut(&uid) else {
-                continue;
-            };
+        for entry in self.window.iter_mut() {
             if let Class::Reduction { consumed, tail, .. } = &mut entry.class {
                 if *consumed >= entry.vl && *tail > 0 {
                     debug_assert!(span <= *tail as u64, "slept through a wake");
@@ -1526,15 +1499,7 @@ impl Engine {
     // in-flight window; in-place retain, no reallocation.
 
     fn sweep_completed(&mut self) {
-        let window = &mut self.window;
-        self.order.retain(|uid| match window.get(uid) {
-            Some(e) if e.complete() => {
-                window.remove(uid);
-                false
-            }
-            Some(_) => true,
-            None => false,
-        });
+        self.window.retain(|e| !e.complete());
     }
 
     // simcheck: hot-path end
