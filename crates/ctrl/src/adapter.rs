@@ -26,17 +26,21 @@ enum WConsumer {
 /// memory behind them.
 ///
 /// Per cycle, call [`Adapter::tick`] with the channel FIFOs, then
-/// [`Adapter::end_cycle`]. The adapter:
+/// [`Adapter::end_cycle`]. The tick:
 ///
-/// 1. routes memory responses from the previous cycle to their converters;
+/// 1. lets the converters complete zero-strobe writes and plan indirect
+///    element requests;
 /// 2. accepts at most one AR and one AW burst, demultiplexing by
 ///    [`PackMode`];
 /// 3. routes W beats to write converters in AW acceptance order (the AXI4
 ///    W-channel ordering rule);
-/// 4. arbitrates each of the *n* word ports round-robin among converters
-///    wanting it (the *bank port mux*);
+/// 4. arbitrates each free word port that some converter wants
+///    round-robin among those converters (the *bank port mux*);
 /// 5. arbitrates the single R output among the three read converters, and B
 ///    among the three write converters.
+///
+/// At the cycle boundary the banked memory grants and performs accesses,
+/// and each response leaving it lands straight in its converter's lane.
 #[derive(Debug)]
 pub struct Adapter {
     cfg: CtrlConfig,
@@ -55,11 +59,6 @@ pub struct Adapter {
     /// Adapter-wide transient-retry budget shared by every converter lane
     /// (armed by [`Adapter::install_faults`]; zero otherwise).
     retry: RetryCtl,
-    /// Responses produced by the memory at the previous cycle boundary.
-    pending_resps: Vec<WordResp>,
-    /// Second response buffer ping-ponged with `pending_resps`, so the
-    /// per-cycle delivery loop never allocates.
-    resp_scratch: Vec<WordResp>,
     /// Statistics.
     r_beats: u64,
     w_beats: u64,
@@ -97,8 +96,6 @@ impl Adapter {
             b_arb: RoundRobin::new(3),
             w_route: VecDeque::new(),
             retry: RetryCtl::new(0),
-            pending_resps: Vec::new(),
-            resp_scratch: Vec::new(),
             cfg,
             r_beats: 0,
             w_beats: 0,
@@ -123,34 +120,14 @@ impl Adapter {
         self.retry = RetryCtl::new(spec.retry_budget);
     }
 
-    // simcheck: hot-path begin -- the controller's per-cycle tick; response
-    // buffers ping-pong and keep their capacity, arbitration vectors live on
-    // the stack.
+    // simcheck: hot-path begin -- the controller's per-cycle tick;
+    // responses land in the converters' lanes at the cycle boundary, and
+    // arbitration works on port and lane masks.
 
     /// One simulation cycle of adapter work against the channel FIFOs.
     pub fn tick(&mut self, ports: &mut AxiChannels) {
         self.cycles += 1;
-        // 1. Deliver last cycle's memory responses. The two response
-        // buffers ping-pong: responses land in `pending_resps` at the
-        // cycle boundary, are drained from `resp_scratch` here, and both
-        // vectors keep their capacity forever.
-        std::mem::swap(&mut self.pending_resps, &mut self.resp_scratch);
-        for i in 0..self.resp_scratch.len() {
-            let resp = self.resp_scratch[i];
-            match ConvId::from_tag(resp.tag) {
-                ConvId::Base => self.base.deliver(resp, &mut self.retry),
-                ConvId::StridedR => self.strided_r.deliver(resp, &mut self.retry),
-                ConvId::StridedW => self.strided_w.deliver(resp, &mut self.retry),
-                ConvId::IndirRIdx | ConvId::IndirRElem => {
-                    self.indirect_r.deliver(resp, &mut self.retry);
-                }
-                ConvId::IndirWIdx | ConvId::IndirWElem => {
-                    self.indirect_w.deliver(resp, &mut self.retry);
-                }
-            }
-        }
-        self.resp_scratch.clear();
-        // Internal per-cycle work.
+        // 1. Internal per-cycle work.
         self.base.drain_local_acks();
         self.strided_w.drain_local_acks();
         self.indirect_w.drain_local_acks();
@@ -243,30 +220,28 @@ impl Adapter {
                 }
             }
         }
-        // 4. Bank port mux: arbitrate every word port among converters.
-        // The O(1) converter-level activity gates skip the per-lane polls
-        // of the (usually three or four) converters with nothing planned.
-        let active = [
-            self.base.active(),
-            self.strided_r.active(),
-            self.strided_w.active(),
-            self.indirect_r.active(),
-            self.indirect_w.active(),
+        // 4. Bank port mux: only the free ports some converter wants are
+        // arbitrated, each among the converters wanting it. Issuing on a
+        // port changes only that port's lane bits, so the masks read once
+        // here hold for every later port.
+        let wants = [
+            self.base.want_mask(),
+            self.strided_r.want_mask(),
+            self.strided_w.want_mask(),
+            self.indirect_r.want_mask(),
+            self.indirect_w.want_mask(),
         ];
-        for p in 0..self.cfg.ports() {
-            if !self.mem.port_free(p) {
-                continue;
-            }
-            let wants = [
-                active[0] && self.base.port_wants(p),
-                active[1] && self.strided_r.port_wants(p),
-                active[2] && self.strided_w.port_wants(p),
-                active[3] && self.indirect_r.port_wants(p),
-                active[4] && self.indirect_w.port_wants(p),
-            ];
-            let Some(winner) = self.port_arb[p].grant(&wants) else {
-                continue;
-            };
+        let mut todo = self.mem.free_ports() & wants.iter().fold(0, |m, w| m | w);
+        while todo != 0 {
+            let p = todo.trailing_zeros() as usize;
+            todo &= todo - 1;
+            let contenders = wants
+                .iter()
+                .enumerate()
+                .fold(0, |m, (c, w)| m | (w >> p & 1) << c);
+            let winner = self.port_arb[p]
+                .grant_mask(contenders)
+                .expect("a wanted port has a contender");
             let req = match winner {
                 0 => self.base.pop_request(p),
                 1 => self.strided_r.pop_request(p),
@@ -275,19 +250,19 @@ impl Adapter {
                 4 => self.indirect_w.pop_request(p),
                 _ => unreachable!(),
             }
-            .expect("port_wants implies a request");
+            .expect("a wanted port has a request");
             match req.op {
                 banked_mem::WordOp::Read => self.word_reads += 1,
                 banked_mem::WordOp::Write { .. } => self.word_writes += 1,
             }
-            assert!(self.mem.try_issue(req), "port_free was checked");
+            assert!(self.mem.try_issue(req), "the port was free");
         }
         // 5. R output arbitration: one beat per cycle.
         if ports.r.can_push() {
             let avail = [
-                self.base_r_ready(),
-                self.strided_r_ready(),
-                self.indirect_r_ready(),
+                self.base.r_ready(),
+                self.strided_r.r_ready(),
+                self.indirect_r.r_ready(),
             ];
             if let Some(w) = self.r_arb.grant(&avail) {
                 let beat = match w {
@@ -321,22 +296,28 @@ impl Adapter {
         }
     }
 
-    // Readiness probes: `pop_r` is destructive, so converters expose these
-    // checks via a cheap dry-run pattern. They mirror the pop conditions.
-    fn base_r_ready(&self) -> bool {
-        self.base.r_ready()
-    }
-    fn strided_r_ready(&self) -> bool {
-        self.strided_r.r_ready()
-    }
-    fn indirect_r_ready(&self) -> bool {
-        self.indirect_r.r_ready()
-    }
-
-    /// Advances the banked memory; call once per cycle after
-    /// [`Adapter::tick`].
+    /// The cycle boundary; call once per cycle after [`Adapter::tick`].
+    /// The banked memory grants and performs this cycle's accesses, and
+    /// every response leaving it lands in its converter's lane at once —
+    /// a slave-faulted one re-queued for retry there.
     pub fn end_cycle(&mut self) {
-        self.mem.end_cycle_into(&mut self.pending_resps);
+        let Adapter {
+            mem,
+            base,
+            strided_r,
+            strided_w,
+            indirect_r,
+            indirect_w,
+            retry,
+            ..
+        } = self;
+        mem.end_cycle_with(|resp: WordResp| match ConvId::from_tag(resp.tag) {
+            ConvId::Base => base.deliver(resp, retry),
+            ConvId::StridedR => strided_r.deliver(resp, retry),
+            ConvId::StridedW => strided_w.deliver(resp, retry),
+            ConvId::IndirRIdx | ConvId::IndirRElem => indirect_r.deliver(resp, retry),
+            ConvId::IndirWIdx | ConvId::IndirWElem => indirect_w.deliver(resp, retry),
+        });
     }
 
     // simcheck: hot-path end
@@ -349,7 +330,6 @@ impl Adapter {
             && self.indirect_r.idle()
             && self.indirect_w.idle()
             && self.w_route.is_empty()
-            && self.pending_resps.is_empty()
             && self.mem.quiescent()
     }
 
@@ -428,8 +408,8 @@ impl Adapter {
     }
 
     /// One-line state snapshot for hang forensics: which converters are
-    /// mid-burst, how many W-route entries and undelivered responses are
-    /// pending, and what the banked memory reports.
+    /// mid-burst, how many W-route entries are pending, the retry budget,
+    /// and what the banked memory reports.
     pub fn describe_state(&self) -> String {
         let mut busy = Vec::new();
         if !self.base.idle() {
@@ -448,10 +428,9 @@ impl Adapter {
             busy.push("indirect-w");
         }
         format!(
-            "busy converters [{}], {} W routes pending, {} responses undelivered, retries {}/{}; mem: {}",
+            "busy converters [{}], {} W routes pending, retries {}/{}; mem: {}",
             busy.join(", "),
             self.w_route.len(),
-            self.pending_resps.len(),
             self.retry.spent(),
             self.retry.budget(),
             self.mem.describe_state(),

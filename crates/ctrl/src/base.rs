@@ -66,6 +66,8 @@ struct WTxn {
 pub struct BaseConverter {
     bus: BusConfig,
     word_bytes: usize,
+    /// log2 of `word_bytes`.
+    word_shift: u32,
     ports: usize,
     r_lanes: LaneSet,
     w_lanes: LaneSet,
@@ -90,6 +92,7 @@ impl BaseConverter {
         BaseConverter {
             bus: cfg.bus,
             word_bytes: cfg.word_bytes(),
+            word_shift: cfg.word_bytes().trailing_zeros(),
             ports,
             r_lanes: LaneSet::new(ports, cfg.queue_depth, ConvId::Base, cfg.word_bytes()),
             w_lanes: LaneSet::new(ports, cfg.queue_depth, ConvId::Base, cfg.word_bytes()),
@@ -107,8 +110,10 @@ impl BaseConverter {
     // arbitration and beat assembly; transaction queues are bounded by
     // `max_txns` and reach steady-state capacity within a few bursts.
 
+    /// The lane serving the word at `addr`: word width and port count are
+    /// powers of two, so this is a shift and a mask.
     fn lane_of_word(&self, addr: Addr) -> usize {
-        ((addr / self.word_bytes as Addr) % self.ports as Addr) as usize
+        (addr >> self.word_shift) as usize & (self.ports - 1)
     }
 
     /// Returns `true` if a new read burst can be accepted this cycle.
@@ -291,17 +296,16 @@ impl BaseConverter {
         }
     }
 
-    /// Returns `true` if any word request is planned at all — the O(1)
-    /// converter-level gate the adapter checks before polling every lane.
+    /// The lanes with an issuable word request, one bit per lane.
     #[inline]
-    pub fn active(&self) -> bool {
-        self.r_lanes.queued_jobs() > 0 || self.w_lanes.queued_jobs() > 0
+    pub(crate) fn want_mask(&self) -> u32 {
+        self.r_lanes.want_mask() | self.w_lanes.want_mask()
     }
 
     /// Returns `true` if `lane` has an issuable word request.
     #[inline]
     pub fn port_wants(&self, lane: usize) -> bool {
-        self.r_lanes.wants(lane) || self.w_lanes.wants(lane)
+        self.want_mask() >> lane & 1 == 1
     }
 
     /// Pops the next word request for `lane`.

@@ -126,6 +126,8 @@ struct IndexStage {
     bursts: VecDeque<IdxProgress>,
     ports: usize,
     word_bytes: usize,
+    /// log2 of `word_bytes`.
+    word_shift: u32,
     /// Cap on buffered parsed indices per burst (two bus lines' worth of
     /// the smallest index), providing back-pressure to the index fetch.
     parse_buf: usize,
@@ -138,6 +140,7 @@ impl IndexStage {
             bursts: VecDeque::new(),
             ports: cfg.ports(),
             word_bytes: cfg.word_bytes(),
+            word_shift: cfg.word_bytes().trailing_zeros(),
             parse_buf: 2 * cfg.ports() * cfg.word_bytes(),
         }
     }
@@ -147,9 +150,11 @@ impl IndexStage {
     // caller-owned scratch keeps its capacity so planning never allocates.
 
     fn accept(&mut self, params: BurstParams) {
+        // Word width and port count are powers of two: index word `w`
+        // sits `w << word_shift` bytes in, on lane `w mod ports`.
         for w in 0..params.idx_words {
-            let lane = (w as usize) % self.ports;
-            let addr = params.idx_addr + w as Addr * self.word_bytes as Addr;
+            let lane = w as usize & (self.ports - 1);
+            let addr = params.idx_addr + ((w as Addr) << self.word_shift);
             self.lanes.push_job(lane, LaneJob::Read { addr });
         }
         self.bursts.push_back(IdxProgress {
@@ -190,7 +195,7 @@ impl IndexStage {
         let line_words = (prog.params.idx_words - line_start).min(self.ports as u32) as usize;
         let first_lane = (line_start as usize) % self.ports;
         debug_assert_eq!(first_lane, 0, "lines are n-word aligned by planning");
-        if !(0..line_words).all(|l| self.lanes.has_resp(l)) {
+        if !self.lanes.all_have_resp(0..line_words) {
             return;
         }
         for l in 0..line_words {
@@ -237,12 +242,6 @@ impl IndexStage {
             self.bursts.pop_front();
         }
         Some(resp)
-    }
-
-    /// Returns `true` if any index-word fetch is planned at all.
-    #[inline]
-    fn active(&self) -> bool {
-        self.lanes.queued_jobs() > 0
     }
 
     #[inline]
@@ -393,18 +392,17 @@ impl IndirectReadConverter {
         }
     }
 
-    /// Returns `true` if any word request is planned in either stage —
-    /// the O(1) converter-level gate the adapter checks before polling
-    /// every lane.
+    /// The lanes with an issuable request in either stage, one bit per
+    /// lane.
     #[inline]
-    pub fn active(&self) -> bool {
-        self.idx.active() || self.elem_lanes.queued_jobs() > 0
+    pub(crate) fn want_mask(&self) -> u32 {
+        self.idx.lanes.want_mask() | self.elem_lanes.want_mask()
     }
 
     /// Returns `true` if `lane` has an issuable request in either stage.
     #[inline]
     pub fn port_wants(&self, lane: usize) -> bool {
-        self.idx.wants(lane) || self.elem_lanes.wants(lane)
+        self.want_mask() >> lane & 1 == 1
     }
 
     /// Pops the next word request for `lane`, arbitrating between the
@@ -639,18 +637,17 @@ impl IndirectWriteConverter {
         }
     }
 
-    /// Returns `true` if any word request is planned in either stage —
-    /// the O(1) converter-level gate the adapter checks before polling
-    /// every lane.
+    /// The lanes with an issuable request in either stage, one bit per
+    /// lane.
     #[inline]
-    pub fn active(&self) -> bool {
-        self.idx.active() || self.elem_lanes.queued_jobs() > 0
+    pub(crate) fn want_mask(&self) -> u32 {
+        self.idx.lanes.want_mask() | self.elem_lanes.want_mask()
     }
 
     /// Returns `true` if `lane` has an issuable request in either stage.
     #[inline]
     pub fn port_wants(&self, lane: usize) -> bool {
-        self.idx.wants(lane) || self.elem_lanes.wants(lane)
+        self.want_mask() >> lane & 1 == 1
     }
 
     /// Pops the next word request for `lane`, arbitrating between stages

@@ -184,7 +184,23 @@ pub enum LaneJob {
     },
 }
 
+/// The mask of lanes `0..n` (`n` up to 32).
+#[inline]
+fn lanes_below(n: usize) -> u32 {
+    if n >= 32 {
+        u32::MAX
+    } else {
+        (1 << n) - 1
+    }
+}
+
 /// The per-port lane state of one converter (or converter stage).
+///
+/// Two masks, one bit per lane, answer the adapter's per-cycle questions
+/// without a scan: `want_mask` holds the lanes with an issuable job and a
+/// free credit, `resp_mask` the lanes with a response waiting. Each is
+/// refreshed where its inputs change — a lane's front job, its credits or
+/// its response queue — and checked against the scan in debug builds.
 #[derive(Debug)]
 pub struct LaneSet {
     /// Planned word accesses, per lane, in issue order.
@@ -206,6 +222,10 @@ pub struct LaneSet {
     /// flight, held for retry order, or parked in a decoupling queue — so
     /// [`LaneSet::idle`] is O(1) too.
     credits_out: usize,
+    /// Lanes whose front job is issuable and that hold a free credit.
+    want_mask: u32,
+    /// Lanes with a response in their decoupling queue.
+    resp_mask: u32,
     /// Tag all requests carry.
     id: ConvId,
     word_bytes: usize,
@@ -222,6 +242,8 @@ impl LaneSet {
             retry: (0..ports).map(|_| None).collect(),
             total_jobs: 0,
             credits_out: 0,
+            want_mask: 0,
+            resp_mask: 0,
             id,
             word_bytes,
         }
@@ -241,6 +263,9 @@ impl LaneSet {
     pub fn push_job(&mut self, lane: usize, job: LaneJob) {
         self.jobs[lane].push_back(job);
         self.total_jobs += 1;
+        if self.jobs[lane].len() == 1 {
+            self.refresh_want(lane);
+        }
     }
 
     /// Returns `true` if `lane` has an issuable job and a free credit.
@@ -249,10 +274,58 @@ impl LaneSet {
     /// zero-strobe writes (drain those with [`LaneSet::take_local_ack`]).
     #[inline]
     pub fn wants(&self, lane: usize) -> bool {
+        let wants = self.want_mask >> lane & 1 == 1;
+        debug_assert_eq!(wants, self.scan_wants(lane), "lane {lane} want bit stale");
+        wants
+    }
+
+    /// The lanes [`LaneSet::wants`] holds for, one bit per lane.
+    #[inline]
+    pub(crate) fn want_mask(&self) -> u32 {
+        debug_assert_eq!(
+            self.want_mask,
+            (0..self.ports()).fold(0, |m, l| m | u32::from(self.scan_wants(l)) << l),
+            "want mask out of step with the lanes"
+        );
+        self.want_mask
+    }
+
+    /// The lanes with a response waiting, one bit per lane.
+    #[inline]
+    pub(crate) fn resp_mask(&self) -> u32 {
+        debug_assert_eq!(
+            self.resp_mask,
+            (0..self.ports()).fold(0, |m, l| m | u32::from(!self.resp[l].is_empty()) << l),
+            "response mask out of step with the queues"
+        );
+        self.resp_mask
+    }
+
+    /// The issuability of `lane` read from its front job and credits.
+    #[inline]
+    fn scan_wants(&self, lane: usize) -> bool {
         match self.jobs[lane].front() {
             None | Some(LaneJob::AwaitData { .. }) | Some(LaneJob::Write { strb: 0, .. }) => false,
             Some(_) => self.credits[lane].has_credit(),
         }
+    }
+
+    /// Re-reads `lane`'s want bit after its front job or credits changed.
+    #[inline]
+    fn refresh_want(&mut self, lane: usize) {
+        let bit = 1 << lane;
+        if self.scan_wants(lane) {
+            self.want_mask |= bit;
+        } else {
+            self.want_mask &= !bit;
+        }
+    }
+
+    /// Queues a response on `lane`'s decoupling queue.
+    #[inline]
+    fn push_resp(&mut self, lane: usize, resp: WordResp) {
+        self.resp[lane].push_back(resp);
+        self.resp_mask |= 1 << lane;
     }
 
     /// Pops one zero-strobe write job from the front of `lane`, if present.
@@ -264,6 +337,7 @@ impl LaneSet {
         if let Some(LaneJob::Write { strb: 0, .. }) = self.jobs[lane].front() {
             self.jobs[lane].pop_front();
             self.total_jobs -= 1;
+            self.refresh_want(lane);
             true
         } else {
             false
@@ -292,6 +366,7 @@ impl LaneSet {
         self.credits_out += 1;
         let job = self.jobs[lane].pop_front().expect("wants() checked front");
         self.total_jobs -= 1;
+        self.refresh_want(lane);
         self.awaiting[lane] += 1;
         let (addr, op) = match job {
             LaneJob::Read { addr } => (addr, WordOp::Read),
@@ -315,20 +390,29 @@ impl LaneSet {
     pub fn deliver(&mut self, resp: WordResp, ctl: &mut RetryCtl) {
         self.awaiting[resp.port] -= 1;
         if self.retry[resp.port].is_none() && resp.fault.is_none() {
-            self.resp[resp.port].push_back(resp);
+            self.push_resp(resp.port, resp);
             return;
         }
         self.deliver_faulted(resp, ctl);
     }
 
     /// Returns `true` if every lane in `lanes` has a response available.
-    pub fn all_have_resp(&self, mut lanes: std::ops::Range<usize>) -> bool {
-        lanes.all(|l| !self.resp[l].is_empty())
+    #[inline]
+    pub fn all_have_resp(&self, lanes: std::ops::Range<usize>) -> bool {
+        let m = lanes_below(lanes.end) & !lanes_below(lanes.start);
+        self.resp_mask() & m == m
     }
 
     /// Returns `true` if `lane` has a response available.
+    #[inline]
     pub fn has_resp(&self, lane: usize) -> bool {
-        !self.resp[lane].is_empty()
+        let has = self.resp_mask >> lane & 1 == 1;
+        debug_assert_eq!(
+            has,
+            !self.resp[lane].is_empty(),
+            "lane {lane} response bit stale"
+        );
+        has
     }
 
     /// Pops the oldest response on `lane`, returning its credit.
@@ -338,8 +422,12 @@ impl LaneSet {
     /// Panics if the lane has no response.
     pub fn pop_resp(&mut self, lane: usize) -> WordResp {
         let r = self.resp[lane].pop_front().expect("pop_resp on empty lane");
+        if self.resp[lane].is_empty() {
+            self.resp_mask &= !(1 << lane);
+        }
         self.credits[lane].put();
         self.credits_out -= 1;
+        self.refresh_want(lane);
         r
     }
 
@@ -363,6 +451,7 @@ impl LaneSet {
             data: WordBuf::from_slice(data),
             strb,
         };
+        self.refresh_want(lane);
     }
 
     /// Returns `true` when no jobs, responses, or in-flight words remain.
@@ -387,12 +476,6 @@ impl LaneSet {
     #[inline]
     pub fn queued_jobs(&self) -> usize {
         self.total_jobs
-    }
-
-    /// Returns `true` if any response is buffered on any lane.
-    #[inline]
-    pub fn any_resp(&self) -> bool {
-        self.resp.iter().any(|q| !q.is_empty())
     }
 
     // simcheck: hot-path end
@@ -422,7 +505,7 @@ impl LaneSet {
                 return;
             }
             ctl.note_surfaced(&resp);
-            self.resp[lane].push_back(resp);
+            self.push_resp(lane, resp);
             self.settle(lane, ctl);
             return;
         }
@@ -438,7 +521,7 @@ impl LaneSet {
         // Decode faults and budget-exhausted slave faults are accepted as
         // errors; the fault tag rides the response into the beat packers.
         ctl.note_surfaced(&resp);
-        self.resp[lane].push_back(resp);
+        self.push_resp(lane, resp);
     }
 
     /// Re-queues the faulted word at the front of `lane`'s address queue,
@@ -460,6 +543,7 @@ impl LaneSet {
         };
         self.jobs[lane].push_front(job);
         self.total_jobs += 1;
+        self.refresh_want(lane);
         let rt = self.retry[lane].as_mut().expect("retry state armed");
         rt.displace_left = self.awaiting[lane];
     }
@@ -481,7 +565,7 @@ impl LaneSet {
                 }
                 Some(r) => {
                     ctl.note_surfaced(&r);
-                    self.resp[lane].push_back(r);
+                    self.push_resp(lane, r);
                 }
             }
         }
@@ -706,5 +790,125 @@ mod tests {
     fn fill_without_await_panics() {
         let mut lanes = LaneSet::new(1, 4, ConvId::StridedW, 4);
         lanes.fill_data(0, &[0; 4], 0);
+    }
+
+    /// Both masks recomputed from the lanes' front jobs, credits and
+    /// response queues.
+    fn scanned_masks(lanes: &LaneSet) -> (u32, u32) {
+        let mut want = 0;
+        let mut resp = 0;
+        for l in 0..lanes.ports() {
+            let issuable = matches!(
+                lanes.jobs[l].front(),
+                Some(LaneJob::Read { .. }) | Some(LaneJob::Write { strb: 1.., .. })
+            );
+            if issuable && lanes.credits[l].has_credit() {
+                want |= 1 << l;
+            }
+            if !lanes.resp[l].is_empty() {
+                resp |= 1 << l;
+            }
+        }
+        (want, resp)
+    }
+
+    #[test]
+    fn masks_track_every_lane_operation() {
+        // A random walk over every operation that moves a front job, a
+        // credit or a response queue, with a model of each lane's
+        // in-flight requests so responses return in issue order.
+        for seed in 0..8u64 {
+            let mut state = seed.wrapping_mul(0x2545_f491_4f6c_dd1d);
+            let mut draw = move || {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            };
+            let ports = 4;
+            let mut lanes = LaneSet::new(ports, 2, ConvId::Base, 4);
+            let mut ctl = RetryCtl::new(6);
+            let mut in_flight: Vec<VecDeque<WordReq>> = vec![VecDeque::new(); ports];
+            for step in 0..4000 {
+                let lane = (draw() % ports as u64) as usize;
+                let addr = (draw() % 256) * 4;
+                let op = draw() % 12;
+                match op {
+                    0 => lanes.push_job(lane, LaneJob::Read { addr }),
+                    1 => lanes.push_job(
+                        lane,
+                        LaneJob::Write {
+                            addr,
+                            data: WordBuf::from_slice(&[7; 4]),
+                            strb: 1 + (draw() % 15) as u32,
+                        },
+                    ),
+                    2 => lanes.push_job(lane, LaneJob::AwaitData { addr }),
+                    3 => lanes.push_job(
+                        lane,
+                        LaneJob::Write {
+                            addr,
+                            data: WordBuf::zeroed(4),
+                            strb: 0,
+                        },
+                    ),
+                    4 => {
+                        let awaiting = lanes.jobs[lane]
+                            .iter()
+                            .any(|j| matches!(j, LaneJob::AwaitData { .. }));
+                        if awaiting {
+                            lanes.fill_data(lane, &[3; 4], (draw() % 16) as u32);
+                        }
+                    }
+                    5 => {
+                        lanes.take_local_ack(lane);
+                    }
+                    6 | 7 => {
+                        if let Some(req) = lanes.pop_request(lane) {
+                            in_flight[lane].push_back(req);
+                        }
+                    }
+                    8 | 9 => {
+                        if let Some(req) = in_flight[lane].pop_front() {
+                            let fault = match draw() % 4 {
+                                0 => Some(WordFault::Slave),
+                                1 if draw() % 4 == 0 => Some(WordFault::Decode),
+                                _ => None,
+                            };
+                            let (data, strb, is_write) = match req.op {
+                                WordOp::Read => (WordBuf::zeroed(4), 0, false),
+                                WordOp::Write { data, strb } => (data, strb, true),
+                            };
+                            let resp = WordResp {
+                                port: lane,
+                                word_addr: req.word_addr,
+                                data,
+                                is_write,
+                                tag: req.tag,
+                                fault,
+                                strb,
+                            };
+                            lanes.deliver(resp, &mut ctl);
+                        }
+                    }
+                    _ => {
+                        if lanes.has_resp(lane) {
+                            lanes.pop_resp(lane);
+                        }
+                    }
+                }
+                assert_eq!(
+                    (lanes.want_mask, lanes.resp_mask),
+                    scanned_masks(&lanes),
+                    "seed {seed} step {step}: masks stale after op {op} on lane {lane}"
+                );
+            }
+            assert_eq!(
+                ctl.spent(),
+                6,
+                "seed {seed}: the walk must exhaust the budget"
+            );
+        }
     }
 }

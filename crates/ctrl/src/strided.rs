@@ -148,11 +148,10 @@ impl StridedReadConverter {
         });
     }
 
-    /// Returns `true` if any word request is planned at all — the O(1)
-    /// converter-level gate the adapter checks before polling every lane.
+    /// The lanes with an issuable word request, one bit per lane.
     #[inline]
-    pub fn active(&self) -> bool {
-        self.lanes.queued_jobs() > 0
+    pub(crate) fn want_mask(&self) -> u32 {
+        self.lanes.want_mask()
     }
 
     /// Returns `true` if `lane` has an issuable word request.
@@ -342,11 +341,10 @@ impl StridedWriteConverter {
         burst.w_left -= 1;
     }
 
-    /// Returns `true` if any word request is planned at all — the O(1)
-    /// converter-level gate the adapter checks before polling every lane.
+    /// The lanes with an issuable word request, one bit per lane.
     #[inline]
-    pub fn active(&self) -> bool {
-        self.lanes.queued_jobs() > 0
+    pub(crate) fn want_mask(&self) -> u32 {
+        self.lanes.want_mask()
     }
 
     /// Returns `true` if `lane` has an issuable word request.

@@ -6,7 +6,7 @@
 
 use axi_proto::Addr;
 use simkit::fault::{site, FaultSpec, SiteSchedule};
-use simkit::{Pipeline, RoundRobin};
+use simkit::RoundRobin;
 
 use crate::map::BankMap;
 use crate::storage::Storage;
@@ -145,7 +145,8 @@ pub struct WordResp {
 /// event-driven and lockstep scheduling.
 #[derive(Debug, Clone)]
 struct BankFaults {
-    /// Transient access errors: consulted once per completed word access.
+    /// Transient access errors: consulted once per word access, when its
+    /// bank grants it.
     access: SiteSchedule,
     /// Latency spikes: consulted once per grant round with pending work.
     delay: SiteSchedule,
@@ -173,49 +174,71 @@ struct Pending {
     row: u64,
 }
 
+impl Pending {
+    /// The contents of a port register that holds no request; only the
+    /// registers whose bit is set in the memory's `occupied` mask are read.
+    const EMPTY: Pending = Pending {
+        req: WordReq {
+            port: 0,
+            word_addr: 0,
+            op: WordOp::Read,
+            tag: 0,
+        },
+        bank: 0,
+        row: 0,
+    };
+}
+
 /// A banked, word-interleaved memory with exact conflict modeling.
 ///
 /// Each cycle:
 ///
 /// 1. the requestor fills free port registers via [`BankedMemory::try_issue`];
-/// 2. [`BankedMemory::end_cycle`] arbitrates — every bank grants at most one
-///    contending port (round-robin), granted requests enter the bank's
-///    access pipeline, and requests completing this cycle perform their
-///    [`Storage`] access and are returned as [`WordResp`]s.
+/// 2. [`BankedMemory::end_cycle_with`] arbitrates — every bank grants at
+///    most one contending port (round-robin), banks in ascending order —
+///    and performs each granted access against the [`Storage`] at once.
+///    Its [`WordResp`] leaves `latency − 1` cycle boundaries later (at the
+///    same boundary for the paper's single-cycle banks).
 ///
 /// Ports hold one pending request each; a port blocked by a bank conflict
 /// back-pressures its requestor, which is exactly how throughput is lost in
 /// the paper's Fig. 5a/5b sweeps.
 ///
 /// Because all banks share one latency and a port only frees after its
-/// grant, responses return to each port in issue order.
+/// grant, responses return to each port in issue order, and the responses
+/// leaving at one boundary do so in ascending bank order.
 #[derive(Debug)]
 pub struct BankedMemory {
     cfg: BankConfig,
     map: BankMap,
     storage: Storage,
-    /// One pending-request register per port.
-    pending: Vec<Option<Pending>>,
-    /// Requests accepted and not yet completed — port registers plus
-    /// accesses in flight — so quiescence is one compare.
+    /// One request register per port; only the registers whose bit is set
+    /// in `occupied` hold a live request.
+    pending: Vec<Pending>,
+    /// Occupied port registers, one bit per port: the port checks and the
+    /// grant round read this mask instead of scanning the registers.
+    occupied: u32,
+    /// Every port's bit.
+    all_ports: u32,
+    /// Requests accepted whose responses have not left yet — port
+    /// registers plus the delay line — so quiescence is one compare.
     busy: usize,
-    /// Per-bank access pipelines.
-    banks: Vec<Pipeline<WordReq>>,
     /// Per-bank arbiter across ports.
     arbs: Vec<RoundRobin>,
-    /// Conflict-free mode: requests accepted this cycle.
-    ideal_overflow: Vec<Pending>,
-    /// Conflict-free mode: accepted request groups awaiting their latency.
-    ideal_delay: std::collections::VecDeque<Vec<Pending>>,
-    /// Grant-phase request masks, one bit per port, one mask per bank —
-    /// reused every cycle so arbitration never allocates or loops over
-    /// idle ports.
-    wants_scratch: Vec<u32>,
-    /// Banks with at least one request this cycle (grant-phase scratch):
-    /// only these entries of `wants_scratch` are touched and re-cleared,
-    /// so the per-cycle cost scales with the port count, not the bank
-    /// count.
-    dirty_banks: Vec<usize>,
+    /// Grant-round request masks, one bit per port, one mask per bank.
+    /// Only contended banks' entries are set, and each is cleared as its
+    /// bank is visited, so a round never touches an idle bank.
+    wants: Vec<u32>,
+    /// Banks with at least one contender this round, one bit per bank:
+    /// the round visits them — and so performs its accesses — in
+    /// ascending bank order.
+    contended: Vec<u64>,
+    /// The bank latency past the grant: a ring of `latency − 1` response
+    /// groups, one per cycle boundary, `delay_head` the oldest. Each group
+    /// keeps its `ports`-response capacity and is refilled as it drains,
+    /// so the line never allocates. Empty at latency 1.
+    delay: Vec<Vec<WordResp>>,
+    delay_head: usize,
     /// Open row per bank (row-buffer model; unused while
     /// `cfg.row_words == 0`).
     open_rows: Vec<Option<u64>>,
@@ -226,7 +249,6 @@ pub struct BankedMemory {
     conflict_stall_events: u64,
     row_hits: u64,
     row_misses: u64,
-    cycles: u64,
     /// Installed fault-injection schedules; `None` (the default) keeps
     /// every hook to a single branch on the fault-free hot path.
     faults: Option<BankFaults>,
@@ -256,16 +278,17 @@ impl BankedMemory {
         BankedMemory {
             map,
             storage,
-            pending: (0..cfg.ports).map(|_| None).collect(),
+            pending: vec![Pending::EMPTY; cfg.ports],
+            occupied: 0,
+            all_ports: u32::MAX >> (32 - cfg.ports),
             busy: 0,
-            banks: (0..cfg.banks)
-                .map(|_| Pipeline::new(cfg.latency.max(1)))
-                .collect(),
             arbs: (0..cfg.banks).map(|_| RoundRobin::new(cfg.ports)).collect(),
-            ideal_overflow: Vec::new(),
-            ideal_delay: std::collections::VecDeque::new(),
-            wants_scratch: vec![0; cfg.banks],
-            dirty_banks: Vec::with_capacity(cfg.ports),
+            wants: vec![0; cfg.banks],
+            contended: vec![0; cfg.banks.div_ceil(64)],
+            delay: (1..cfg.latency.max(1))
+                .map(|_| Vec::with_capacity(cfg.ports))
+                .collect(),
+            delay_head: 0,
             open_rows: vec![None; cfg.banks],
             row_stall: vec![0; cfg.banks],
             cfg,
@@ -273,7 +296,6 @@ impl BankedMemory {
             conflict_stall_events: 0,
             row_hits: 0,
             row_misses: 0,
-            cycles: 0,
             faults: None,
             decode_faults: 0,
         }
@@ -305,13 +327,19 @@ impl BankedMemory {
     }
 
     // simcheck: hot-path begin -- per-cycle issue, arbitration and access;
-    // grant scratch and response vectors are caller- or self-owned and keep
+    // the grant masks and the delay line's groups are pre-sized and keep
     // their capacity across cycles.
 
     /// Returns `true` if `port` can accept a request this cycle.
     #[inline]
     pub fn port_free(&self, port: usize) -> bool {
-        self.pending[port].is_none()
+        self.occupied >> port & 1 == 0
+    }
+
+    /// The ports that can accept a request this cycle, one bit per port.
+    #[inline]
+    pub fn free_ports(&self) -> u32 {
+        !self.occupied & self.all_ports
     }
 
     /// Presents a request at its port; returns `false` (and drops nothing —
@@ -331,179 +359,184 @@ impl BankedMemory {
             self.cfg.word_bytes
         );
         let port = req.port;
-        if self.pending[port].is_some() {
+        if !self.port_free(port) {
             return false;
         }
         let row = match self.cfg.row_words {
             0 => 0,
             words => self.map.row_of(req.word_addr) / words as u64,
         };
-        self.pending[port] = Some(Pending {
+        self.pending[port] = Pending {
             req,
             bank: self.map.bank_of(req.word_addr),
             row,
-        });
+        };
+        self.occupied |= 1 << port;
         self.busy += 1;
         true
     }
 
-    /// Arbitrates, advances bank pipelines, and performs completing
-    /// accesses. Returns the responses emerging this cycle (any number of
-    /// ports may complete in the same cycle).
+    /// Arbitrates, performs the granted accesses, and returns the
+    /// responses leaving this cycle (any number of ports may complete in
+    /// the same cycle).
     ///
-    /// Allocates the response vector; per-cycle callers should prefer
-    /// [`BankedMemory::end_cycle_into`], which reuses one.
+    /// Allocates the response vector; per-cycle callers use
+    /// [`BankedMemory::end_cycle_with`], which hands each response to a
+    /// sink instead.
     pub fn end_cycle(&mut self) -> Vec<WordResp> {
-        // simcheck: allow(alloc) -- convenience wrapper; per-cycle run loops call `end_cycle_into` with a reused vector
+        // simcheck: allow(alloc) -- convenience wrapper; per-cycle run loops call `end_cycle_with`
         let mut responses = Vec::new();
-        self.end_cycle_into(&mut responses);
+        self.end_cycle_with(|resp| responses.push(resp));
         responses
     }
 
-    /// Like [`BankedMemory::end_cycle`], but appends the responses to a
-    /// caller-owned vector (cleared first) so the per-cycle loop reuses
-    /// its capacity instead of allocating a fresh `Vec` every cycle.
-    pub fn end_cycle_into(&mut self, responses: &mut Vec<WordResp>) {
-        responses.clear();
-        self.cycles += 1;
-        // Grant phase: each bank picks at most one pending port.
+    /// The cycle boundary: hands every response leaving this cycle to
+    /// `sink`, in ascending bank order (port order for a conflict-free
+    /// memory).
+    ///
+    /// Responses granted `latency − 1` boundaries ago leave first. Then
+    /// every contended bank, in ascending order, grants one port and
+    /// performs the access at once: a latency-1 response goes straight
+    /// to `sink`, a longer one waits in the delay line. The grant order
+    /// fixes the access ordinals the fault sites key on.
+    pub fn end_cycle_with(&mut self, mut sink: impl FnMut(WordResp)) {
+        let head = self.delay_head;
+        if let Some(group) = self.delay.get_mut(head) {
+            self.busy -= group.len();
+            for resp in group.drain(..) {
+                sink(resp);
+            }
+        }
         if self.cfg.conflict_free {
-            // Ideal memory: every port's request is accepted every cycle and
-            // served after the configured latency, regardless of banks.
-            for slot in self.pending.iter_mut() {
-                if let Some(p) = slot.take() {
-                    self.ideal_overflow.push(p);
-                }
+            // Ideal memory: every port's request is accepted every cycle
+            // and served after the configured latency, regardless of
+            // banks.
+            let mut ports = std::mem::take(&mut self.occupied);
+            while ports != 0 {
+                let p = ports.trailing_zeros() as usize;
+                ports &= ports - 1;
+                let Pending { req, bank, .. } = self.pending[p];
+                let resp = self.access(bank, req);
+                self.land(resp, &mut sink);
             }
         } else {
-            self.dirty_banks.clear();
-            for (p, slot) in self.pending.iter().enumerate() {
-                if let Some(&Pending { bank: b, .. }) = slot.as_ref() {
-                    if self.wants_scratch[b] == 0 {
-                        self.dirty_banks.push(b);
-                    }
-                    self.wants_scratch[b] |= 1 << p;
+            self.grant_round(&mut sink);
+        }
+        if !self.delay.is_empty() {
+            self.delay_head = if head + 1 == self.delay.len() {
+                0
+            } else {
+                head + 1
+            };
+        }
+    }
+
+    /// One grant round of the banked path: each contended bank, in
+    /// ascending order, grants at most one of its contenders and performs
+    /// the access.
+    fn grant_round(&mut self, sink: &mut impl FnMut(WordResp)) {
+        if self.occupied == 0 {
+            return;
+        }
+        let mut ports = self.occupied;
+        while ports != 0 {
+            let p = ports.trailing_zeros() as usize;
+            ports &= ports - 1;
+            let b = self.pending[p].bank;
+            self.wants[b] |= 1 << p;
+            self.contended[b >> 6] |= 1 << (b & 63);
+        }
+        // Latency-spike site: consulted once per grant round that has
+        // pending work. While a spike is active no bank grants anything
+        // and the stalled requests keep the memory non-quiescent, so
+        // neither scheduling mode can skip past the spike — the stall
+        // is ordinal-keyed and mode-independent.
+        let spiked = self.spike_round();
+        for word in 0..self.contended.len() {
+            let mut banks = std::mem::take(&mut self.contended[word]);
+            while banks != 0 {
+                let b = word << 6 | banks.trailing_zeros() as usize;
+                banks &= banks - 1;
+                let want = std::mem::take(&mut self.wants[b]);
+                if !spiked {
+                    self.grant(b, want, sink);
                 }
-            }
-            // Latency-spike site: consulted once per grant round that has
-            // pending work. While a spike is active no bank grants anything
-            // and the stalled requests keep the memory non-quiescent, so
-            // neither scheduling mode can skip past the spike — the stall
-            // is ordinal-keyed and mode-independent.
-            let mut spiked = false;
-            if !self.dirty_banks.is_empty() {
-                if let Some(f) = self.faults.as_mut() {
-                    if f.spike_left == 0 && f.delay.fires() {
-                        f.spike_left = f.delay_len;
-                    }
-                    if f.spike_left > 0 {
-                        f.spike_left -= 1;
-                        f.spike_stalls += 1;
-                        spiked = true;
-                    }
-                }
-            }
-            for i in 0..self.dirty_banks.len() {
-                let b = self.dirty_banks[i];
-                let want = self.wants_scratch[b];
-                let contenders = want.count_ones();
-                if contenders > 1 && !spiked {
-                    self.conflict_stall_events += (contenders - 1) as u64;
-                }
-                if !spiked && self.banks[b].can_insert() {
-                    if self.row_stall[b] > 0 {
-                        // A row activation is in flight: the bank grants
-                        // nothing until the precharge+activate window
-                        // elapses; the requests stay pending.
-                        self.row_stall[b] -= 1;
-                    } else {
-                        // FR-FCFS: requests hitting the open row arbitrate
-                        // ahead of row misses. Hit-first ordering is what
-                        // real DRAM schedulers do for throughput, and here
-                        // it is also what guarantees forward progress —
-                        // round-robin over raw contenders would let two
-                        // ports on different rows re-open the row against
-                        // each other after every activation window, and
-                        // neither would ever be served.
-                        let choose = match self.row_hit_mask(b, want) {
-                            0 => want,
-                            hits => hits,
-                        };
-                        if let Some(p) = self.arbs[b].grant_mask(choose) {
-                            let granted = self.pending[p].take().expect("granted port has request");
-                            if self.cfg.row_words > 0 {
-                                if self.open_rows[b] == Some(granted.row) {
-                                    self.row_hits += 1;
-                                    self.banks[b].insert(granted.req);
-                                } else {
-                                    // Row miss: open the row and charge the
-                                    // activation penalty; the request
-                                    // retries — and wins, as a hit — once
-                                    // the window elapses.
-                                    self.open_rows[b] = Some(granted.row);
-                                    self.row_misses += 1;
-                                    if self.cfg.row_miss_penalty == 0 {
-                                        self.banks[b].insert(granted.req);
-                                    } else {
-                                        self.row_stall[b] = self.cfg.row_miss_penalty;
-                                        self.pending[p] = Some(granted);
-                                    }
-                                }
-                            } else {
-                                self.banks[b].insert(granted.req);
-                            }
-                        }
-                    }
-                }
-                // Re-clear only the entries this cycle touched.
-                self.wants_scratch[b] = 0;
             }
         }
-        // Access phase: requests leaving pipelines touch storage. Idle
-        // banks (nothing in flight, nothing inserted this cycle) need no
-        // register rotation — with 17 banks and at most `ports` grants
-        // per cycle most banks are idle in any given cycle.
-        let commit = self.cfg.commit_writes;
-        for (b, bank) in self.banks.iter_mut().enumerate() {
-            if bank.is_empty() {
-                continue;
+    }
+
+    /// Advances the latency-spike site by one grant round with pending
+    /// work; `true` while a spike suppresses every grant.
+    fn spike_round(&mut self) -> bool {
+        let Some(f) = self.faults.as_mut() else {
+            return false;
+        };
+        if f.spike_left == 0 && f.delay.fires() {
+            f.spike_left = f.delay_len;
+        }
+        if f.spike_left == 0 {
+            return false;
+        }
+        f.spike_left -= 1;
+        f.spike_stalls += 1;
+        true
+    }
+
+    /// Bank `b`'s grant among the ports in `want` (nonempty): counts the
+    /// conflict, charges or waits out a row activation, and performs the
+    /// winner's access.
+    fn grant(&mut self, b: usize, want: u32, sink: &mut impl FnMut(WordResp)) {
+        self.conflict_stall_events += u64::from(want.count_ones() - 1);
+        if self.row_stall[b] > 0 {
+            // A row activation is in flight: the bank grants nothing
+            // until the precharge+activate window elapses; the requests
+            // stay pending.
+            self.row_stall[b] -= 1;
+            return;
+        }
+        // FR-FCFS: requests hitting the open row arbitrate ahead of row
+        // misses. Hit-first ordering is what real DRAM schedulers do for
+        // throughput, and here it is also what guarantees forward
+        // progress — round-robin over raw contenders would let two ports
+        // on different rows re-open the row against each other after
+        // every activation window, and neither would ever be served.
+        let choose = match self.row_hit_mask(b, want) {
+            0 => want,
+            hits => hits,
+        };
+        let p = self.arbs[b]
+            .grant_mask(choose)
+            .expect("a contended bank has a contender");
+        let Pending { req, row, .. } = self.pending[p];
+        if self.cfg.row_words > 0 {
+            if self.open_rows[b] == Some(row) {
+                self.row_hits += 1;
+            } else {
+                // Row miss: open the row and charge the activation
+                // penalty; the request retries — and wins, as a hit —
+                // once the window elapses.
+                self.open_rows[b] = Some(row);
+                self.row_misses += 1;
+                if self.cfg.row_miss_penalty > 0 {
+                    self.row_stall[b] = self.cfg.row_miss_penalty;
+                    return;
+                }
             }
-            if let Some(req) = bank.end_cycle() {
-                let ordinal = self.total_accesses;
-                responses.push(Self::access(
-                    &mut self.storage,
-                    b,
-                    self.cfg.word_bytes,
-                    &mut self.faults,
-                    &mut self.decode_faults,
-                    ordinal,
-                    req,
-                    commit,
-                ));
-                self.total_accesses += 1;
+        }
+        self.occupied &= !(1 << p);
+        let resp = self.access(b, req);
+        self.land(resp, sink);
+    }
+
+    /// Sends a response granted this cycle on its way: straight out at
+    /// latency 1, otherwise into the newest delay-line group.
+    #[inline]
+    fn land(&mut self, resp: WordResp, sink: &mut impl FnMut(WordResp)) {
+        match self.delay.get_mut(self.delay_head) {
+            Some(group) => group.push(resp),
+            None => {
                 self.busy -= 1;
-            }
-        }
-        // Ideal path: serve everything accepted `latency` cycles ago.
-        if self.cfg.conflict_free {
-            self.ideal_delay
-                .push_back(std::mem::take(&mut self.ideal_overflow));
-            if self.ideal_delay.len() >= self.cfg.latency.max(1) {
-                for p in self.ideal_delay.pop_front().expect("nonempty") {
-                    let ordinal = self.total_accesses;
-                    responses.push(Self::access(
-                        &mut self.storage,
-                        p.bank,
-                        self.cfg.word_bytes,
-                        &mut self.faults,
-                        &mut self.decode_faults,
-                        ordinal,
-                        p.req,
-                        commit,
-                    ));
-                    self.total_accesses += 1;
-                    self.busy -= 1;
-                }
+                sink(resp);
             }
         }
     }
@@ -523,38 +556,30 @@ impl BankedMemory {
         while m != 0 {
             let p = m.trailing_zeros() as usize;
             m &= m - 1;
-            let pending = self.pending[p].as_ref().expect("wanting port has request");
-            if pending.row == open {
+            if self.pending[p].row == open {
                 hits |= 1 << p;
             }
         }
         hits
     }
 
-    /// Performs one word access, first deciding its fault class:
-    /// out-of-window addresses always raise [`WordFault::Decode`]
+    /// Performs one word access on bank `bank`, first deciding its fault
+    /// class: out-of-window addresses always raise [`WordFault::Decode`]
     /// (plan or no plan — replacing what used to be a slice panic), and
     /// installed schedules may raise [`WordFault::Slave`]. A faulted read
     /// returns zeroed data; a faulted write does not commit.
-    #[allow(clippy::too_many_arguments)]
-    fn access(
-        storage: &mut Storage,
-        bank: usize,
-        word_bytes: usize,
-        faults: &mut Option<BankFaults>,
-        decode_faults: &mut u64,
-        ordinal: u64,
-        req: WordReq,
-        commit: bool,
-    ) -> WordResp {
-        let oob = req.word_addr as usize + word_bytes > storage.len();
+    fn access(&mut self, bank: usize, req: WordReq) -> WordResp {
+        let word_bytes = self.cfg.word_bytes;
+        let ordinal = self.total_accesses;
+        self.total_accesses += 1;
+        let oob = req.word_addr as usize + word_bytes > self.storage.len();
         let mut fault = if oob {
-            *decode_faults += 1;
+            self.decode_faults += 1;
             Some(WordFault::Decode)
         } else {
             None
         };
-        if let Some(f) = faults.as_mut() {
+        if let Some(f) = self.faults.as_mut() {
             // The transient stream is consulted on *every* access so its
             // ordinals stay aligned whatever other fault class fires.
             let transient = f.access.fires();
@@ -568,7 +593,7 @@ impl BankedMemory {
             WordOp::Read => {
                 let mut data = WordBuf::zeroed(word_bytes);
                 if fault.is_none() {
-                    storage.read(req.word_addr, &mut data);
+                    self.storage.read(req.word_addr, &mut data);
                 }
                 WordResp {
                     port: req.port,
@@ -581,8 +606,9 @@ impl BankedMemory {
                 }
             }
             WordOp::Write { data, strb } => {
-                if commit && fault.is_none() {
-                    storage.write_masked(req.word_addr, &data, strb as u128);
+                if self.cfg.commit_writes && fault.is_none() {
+                    self.storage
+                        .write_masked(req.word_addr, &data, strb as u128);
                 }
                 WordResp {
                     port: req.port,
@@ -660,33 +686,35 @@ impl BankedMemory {
         self.decode_faults
     }
 
-    /// Hang-forensics snapshot: pending port requests, in-flight bank
-    /// accesses, and whether a latency spike is currently suppressing
-    /// grants.
+    /// Hang-forensics snapshot: pending port requests, responses waiting
+    /// out the bank latency in the delay line, and whether a latency
+    /// spike is currently suppressing grants.
     pub fn describe_state(&self) -> String {
-        let pending = self.pending.iter().filter(|p| p.is_some()).count();
-        let in_flight = self.banks.iter().filter(|b| !b.is_empty()).count();
+        let pending = self.occupied.count_ones();
+        let delayed = self.delayed();
         let spike = self.faults.as_ref().map_or(0, |f| f.spike_left);
         if spike > 0 {
             format!(
-                "{pending} pending port reqs, {in_flight} banks busy, \
+                "{pending} pending port reqs, {delayed} responses in the delay line, \
                  latency spike suppressing grants for {spike} more rounds"
             )
         } else {
-            format!("{pending} pending port reqs, {in_flight} banks busy")
+            format!("{pending} pending port reqs, {delayed} responses in the delay line")
         }
+    }
+
+    /// Responses waiting in the delay line.
+    fn delayed(&self) -> usize {
+        self.delay.iter().map(Vec::len).sum()
     }
 
     /// Returns `true` when no request is pending or in flight.
     #[inline]
     pub fn quiescent(&self) -> bool {
         debug_assert_eq!(
-            self.busy == 0,
-            self.pending.iter().all(Option::is_none)
-                && self.banks.iter().all(Pipeline::is_empty)
-                && self.ideal_overflow.is_empty()
-                && self.ideal_delay.iter().all(Vec::is_empty),
-            "busy count out of step with the port registers and pipelines"
+            self.busy,
+            self.occupied.count_ones() as usize + self.delayed(),
+            "busy count out of step with the port registers and the delay line"
         );
         self.busy == 0
     }

@@ -1,6 +1,7 @@
 //! Property tests: the banked memory is functionally a plain memory under
 //! any request schedule, its address mapping is a bijection, and its
-//! timing matches a reference that re-decodes every waiting request.
+//! timing matches a reference that re-decodes every waiting request (and,
+//! conflict-free, a plain fixed-delay memory).
 
 use banked_mem::{BankConfig, BankMap, BankedMemory, Storage, WordBuf, WordOp, WordReq, WordResp};
 use proptest::prelude::*;
@@ -119,6 +120,66 @@ impl Redecode {
             });
         }
         out
+    }
+}
+
+/// A conflict-free memory written the plain way: at every cycle boundary
+/// the requests waiting at the ports, in port order, join a queue of
+/// per-boundary groups, and the group accepted `latency` boundaries ago
+/// (counting its own) is served, in port order.
+struct FixedDelay {
+    latency: usize,
+    storage: Storage,
+    pending: Vec<Option<WordReq>>,
+    groups: std::collections::VecDeque<Vec<WordReq>>,
+}
+
+impl FixedDelay {
+    fn end_cycle(&mut self) -> Vec<WordResp> {
+        self.groups
+            .push_back(self.pending.iter_mut().filter_map(Option::take).collect());
+        if self.groups.len() < self.latency {
+            return Vec::new();
+        }
+        let group = self.groups.pop_front().expect("a full delay");
+        group
+            .into_iter()
+            .map(|req| {
+                let (data, is_write, strb) = match req.op {
+                    WordOp::Read => {
+                        let mut data = WordBuf::zeroed(4);
+                        self.storage.read(req.word_addr, &mut data);
+                        (data, false, 0)
+                    }
+                    WordOp::Write { data, strb } => {
+                        self.storage
+                            .write_masked(req.word_addr, &data, u128::from(strb));
+                        (data, true, strb)
+                    }
+                };
+                WordResp {
+                    port: req.port,
+                    word_addr: req.word_addr,
+                    data,
+                    is_write,
+                    tag: req.tag,
+                    fault: None,
+                    strb,
+                }
+            })
+            .collect()
+    }
+}
+
+/// A read, or a write of `value` under its low four bits as the strobe.
+fn word_op(write: bool, value: u32) -> WordOp {
+    if write {
+        WordOp::Write {
+            data: value.to_le_bytes().into(),
+            strb: value & 0xf,
+        }
+    } else {
+        WordOp::Read
     }
 }
 
@@ -305,5 +366,112 @@ proptest! {
         prop_assert_eq!((mem.row_hits(), mem.row_misses()), (reference.row_hits, reference.row_misses));
         prop_assert_eq!(mem.total_accesses(), ops.len() as u64);
         prop_assert_eq!(mem.storage().as_bytes(), reference.storage.as_bytes());
+    }
+
+    /// A conflict-free memory is a plain fixed-delay memory: every
+    /// request is served `latency` boundaries after it is presented, in
+    /// port order, whatever banks it falls in.
+    #[test]
+    fn conflict_free_serves_every_request_after_the_latency(
+        banks in prop_oneof![Just(8usize), Just(17)],
+        latency in 1usize..5,
+        ports in 1usize..9,
+        ops in proptest::collection::vec((0u64..64, proptest::bool::ANY, proptest::num::u32::ANY), 1..120),
+    ) {
+        let cfg = BankConfig {
+            banks,
+            word_bytes: 4,
+            latency,
+            ports,
+            conflict_free: true,
+            commit_writes: true,
+            row_words: 0,
+            row_miss_penalty: 0,
+        };
+        let mut storage = Storage::new(1 << 12);
+        for w in 0..(1 << 10) {
+            storage.write_u32(w * 4, (w as u32).wrapping_mul(0x9e37_79b9));
+        }
+        let mut reference = FixedDelay {
+            latency,
+            storage: storage.clone(),
+            pending: vec![None; ports],
+            groups: std::collections::VecDeque::new(),
+        };
+        let mut mem = BankedMemory::new(cfg, storage);
+        let mut next = ops.iter().enumerate();
+        let mut served = 0usize;
+        let mut cycle = 0u64;
+        while served < ops.len() {
+            prop_assert_eq!(mem.free_ports().count_ones() as usize, ports, "cycle {}", cycle);
+            for port in 0..ports {
+                let Some((tag, &(word, write, value))) = next.next() else {
+                    break;
+                };
+                let req = WordReq { port, word_addr: word * 4, op: word_op(write, value), tag: tag as u64 };
+                prop_assert!(mem.try_issue(req));
+                reference.pending[port] = Some(req);
+            }
+            let got = mem.end_cycle();
+            prop_assert_eq!(&got, &reference.end_cycle(), "cycle {}", cycle);
+            served += got.len();
+            cycle += 1;
+            prop_assert!(cycle < 10_000, "memory hung");
+        }
+        prop_assert!(mem.quiescent());
+        prop_assert_eq!(mem.conflict_stall_events(), 0);
+        prop_assert_eq!(mem.total_accesses(), ops.len() as u64);
+        prop_assert_eq!(mem.storage().as_bytes(), reference.storage.as_bytes());
+    }
+
+    /// The responses leaving a banked memory at one cycle boundary were
+    /// all granted in one round, one per bank, and leave in ascending
+    /// bank order — the order the accesses were performed in.
+    #[test]
+    fn banked_responses_leave_in_ascending_bank_order(
+        banks in prop_oneof![Just(2usize), Just(8), Just(11), Just(17), Just(31)],
+        latency in 1usize..5,
+        ports in 1usize..9,
+        rows in prop_oneof![Just((0usize, 0usize)), Just((8, 6))],
+        ops in proptest::collection::vec((0u64..512, proptest::bool::ANY, proptest::num::u32::ANY), 1..160),
+    ) {
+        let (row_words, row_miss_penalty) = rows;
+        let cfg = BankConfig {
+            banks,
+            word_bytes: 4,
+            latency,
+            ports,
+            conflict_free: false,
+            commit_writes: true,
+            row_words,
+            row_miss_penalty,
+        };
+        let map = BankMap::new(banks, 4);
+        let mut mem = BankedMemory::new(cfg, Storage::new(1 << 12));
+        let mut next = ops.iter().enumerate();
+        let mut served = 0usize;
+        let mut cycle = 0u64;
+        while served < ops.len() {
+            for port in 0..ports {
+                if !mem.port_free(port) {
+                    continue;
+                }
+                let Some((tag, &(word, write, value))) = next.next() else {
+                    break;
+                };
+                let req = WordReq { port, word_addr: word * 4, op: word_op(write, value), tag: tag as u64 };
+                prop_assert!(mem.try_issue(req));
+            }
+            let got = mem.end_cycle();
+            let order: Vec<usize> = got.iter().map(|r| map.bank_of(r.word_addr)).collect();
+            prop_assert!(
+                order.windows(2).all(|w| w[0] < w[1]),
+                "cycle {}: banks {:?} not strictly ascending", cycle, order
+            );
+            served += got.len();
+            cycle += 1;
+            prop_assert!(cycle < 100_000, "memory hung");
+        }
+        prop_assert!(mem.quiescent());
     }
 }
