@@ -3,18 +3,14 @@
 //! Times every figure family's render at a given [`Scale`], measures
 //! simulator throughput (simulated cycles per host second) on a
 //! representative kernel, and emits the results as machine-readable JSON
-//! (`BENCH_hotpath.json`). The committed file carries two measurement
-//! sets:
-//!
-//! * `pre_pr_*` — the suite timed *before* the allocation-free data-plane
-//!   rework landed (the pre-PR baseline, preserved verbatim on rewrite);
-//! * `total_s` / `families` / `cycles_per_sec` — the current measurement.
+//! (`BENCH_hotpath.json`); the history of past baselines lives in
+//! `CHANGES.md`, not in the file.
 //!
 //! CI runs `figures bench --smoke --check`, which re-measures and fails
 //! if the wall-clock regresses more than [`MAX_REGRESSION`] against the
-//! committed current baseline — so future PRs regress against numbers,
-//! not vibes. Criterion microbenches of the same hot paths live in
-//! `benches/hotpath.rs`.
+//! committed baseline — so future PRs regress against numbers, not
+//! vibes. The dense probe times a full PACK run, the granule every
+//! figure sweep repeats.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -279,17 +275,12 @@ pub fn sparse_cycles_per_sec_probe(scale: Scale, sched: SchedMode) -> f64 {
     probe(&cfg, &kernel)
 }
 
-/// Serializes a measurement (plus the preserved pre-PR baseline, if any)
-/// as the `BENCH_hotpath.json` document.
-pub fn to_json(scale: Scale, result: &BenchResult, pre_pr: Option<&str>) -> String {
+/// Serializes a measurement as the `BENCH_hotpath.json` document.
+pub fn to_json(scale: Scale, result: &BenchResult) -> String {
     let mut out = String::new();
     let w = &mut out;
     writeln!(w, "{{").unwrap();
     writeln!(w, "  \"scale\": \"{scale:?}\",").unwrap();
-    if let Some(pre) = pre_pr {
-        // Preserve the committed pre-PR section verbatim.
-        writeln!(w, "{pre}").unwrap();
-    }
     writeln!(w, "  \"families\": {{").unwrap();
     for (i, (name, secs)) in result.families.iter().enumerate() {
         let comma = if i + 1 == result.families.len() {
@@ -343,30 +334,12 @@ pub fn to_json(scale: Scale, result: &BenchResult, pre_pr: Option<&str>) -> Stri
     .unwrap();
     writeln!(
         w,
-        "  \"cache_warm_speedup\": {:.1},",
+        "  \"cache_warm_speedup\": {:.1}",
         result.cache_warm_speedup()
     )
     .unwrap();
-    let speedup = parse_number(pre_pr.unwrap_or(""), "pre_pr_total_s")
-        .map(|pre| pre / result.total_s)
-        .unwrap_or(1.0);
-    writeln!(w, "  \"speedup_vs_pre_pr\": {speedup:.2}").unwrap();
     writeln!(w, "}}").unwrap();
     out
-}
-
-/// Extracts the `"pre_pr_*"` lines of an existing `BENCH_hotpath.json`,
-/// so a re-measurement never loses the original baseline.
-pub fn pre_pr_section(json: &str) -> Option<String> {
-    let lines: Vec<&str> = json
-        .lines()
-        .filter(|l| l.trim_start().starts_with("\"pre_pr_"))
-        .collect();
-    if lines.is_empty() {
-        None
-    } else {
-        Some(lines.join("\n"))
-    }
 }
 
 /// Extracts a top-level string field (`"key": "value"`) from the
@@ -411,7 +384,7 @@ mod tests {
             fault_overhead: 0.012,
             scale_128_requestors_s: 0.31,
         };
-        let json = to_json(Scale::Smoke, &r, Some("  \"pre_pr_total_s\": 1.24,"));
+        let json = to_json(Scale::Smoke, &r);
         assert_eq!(parse_number(&json, "total_s"), Some(0.99));
         assert_eq!(parse_number(&json, "fuzz_scenarios_per_sec"), Some(42.5));
         assert_eq!(parse_number(&json, "cache_cold_s"), Some(0.08));
@@ -427,19 +400,11 @@ mod tests {
         );
         assert_eq!(parse_number(&json, "sparse_cycles_per_sec"), Some(400000.0));
         assert_eq!(parse_number(&json, "sparse_event_speedup"), Some(4.0));
-        assert_eq!(parse_number(&json, "pre_pr_total_s"), Some(1.24));
-        let speedup = parse_number(&json, "speedup_vs_pre_pr").unwrap();
-        assert!((speedup - 1.24 / 0.99).abs() < 0.01);
-        assert_eq!(
-            pre_pr_section(&json).as_deref(),
-            Some("  \"pre_pr_total_s\": 1.24,")
-        );
     }
 
     #[test]
     fn missing_fields_parse_to_none() {
         assert_eq!(parse_number("{}", "total_s"), None);
-        assert_eq!(pre_pr_section("{}"), None);
         assert_eq!(parse_string("{}", "scale"), None);
     }
 
@@ -458,7 +423,7 @@ mod tests {
             fault_overhead: 0.0,
             scale_128_requestors_s: 1.0,
         };
-        let json = to_json(Scale::Smoke, &r, None);
+        let json = to_json(Scale::Smoke, &r);
         assert_eq!(parse_string(&json, "scale").as_deref(), Some("Smoke"));
     }
 }

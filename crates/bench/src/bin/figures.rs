@@ -514,8 +514,7 @@ fn cmd_bench(c: &Common) {
         result.scale_128_requestors_s
     );
     let committed = std::fs::read_to_string(&baseline).ok();
-    // Wall-clocks from different scales must never be compared (or the
-    // pre-PR section mixed across scales).
+    // Wall-clocks from different scales must never be compared.
     let scale_matches = committed
         .as_deref()
         .and_then(|doc| bench::parse_string(doc, "scale"))
@@ -663,20 +662,7 @@ fn cmd_bench(c: &Common) {
     if !c.write_files {
         return;
     }
-    // Preserve the pre-PR section of an existing baseline verbatim —
-    // but only when it was measured at the same scale.
-    if !scale_matches {
-        eprintln!(
-            "figures bench: {} holds a different scale's measurement; \
-             writing a fresh baseline without its pre-PR section",
-            baseline.display()
-        );
-    }
-    let pre = committed
-        .as_deref()
-        .filter(|_| scale_matches)
-        .and_then(bench::pre_pr_section);
-    let json = bench::to_json(c.scale, &result, pre.as_deref());
+    let json = bench::to_json(c.scale, &result);
     match std::fs::write(&baseline, &json) {
         Ok(()) => println!("wrote {}", baseline.display()),
         Err(e) => fail(&format!("writing {}: {e}", baseline.display())),

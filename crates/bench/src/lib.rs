@@ -8,9 +8,7 @@
 //! the simulator's own wall-clock baseline (`figures bench` →
 //! `BENCH_hotpath.json`), and the single
 //! `figures` binary exposes it all as subcommands (`figures fig3a`,
-//! `figures all`, `figures sweep …`, `figures kernel …`). Criterion
-//! benches in `benches/` time the simulator itself on scaled-down versions
-//! of the same scenarios.
+//! `figures all`, `figures sweep …`, `figures kernel …`).
 //!
 //! Absolute cycle counts come from this reproduction's simulator, not the
 //! authors' RTL, so the comparison targets are the *shapes*: who wins, by
@@ -38,7 +36,7 @@ pub mod table;
 /// Problem-size preset for figure runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Small inputs for smoke tests and Criterion (seconds).
+    /// Small inputs for smoke tests and the CI gates (seconds).
     Smoke,
     /// Paper-like inputs (matrix dimension 256, ≈390 nonzeros/row).
     Paper,

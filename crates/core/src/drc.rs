@@ -30,7 +30,7 @@
 
 use std::fmt;
 
-use axi_proto::{CHANNEL_DEPTH, ID_BITS, LOCAL_ID_BITS, MAX_FAN_IN};
+use axi_proto::{CHANNEL_DEPTH, ID_BITS, MAX_FAN_IN};
 use banked_mem::{ChannelMap, MAX_WORD_BYTES};
 use pack_ctrl::{BASE_TXNS, PACKED_BURSTS};
 use vproc::SystemKind;
@@ -295,9 +295,9 @@ pub struct EngineModel {
     pub kind: SystemKind,
     /// `axi_id_bits` as configured on the [`SystemConfig`].
     pub configured_id_bits: u32,
-    /// The ID width the engine will actually run with: behind an
-    /// ID-remapping mux the run loop narrows it to
-    /// [`LOCAL_ID_BITS`] so the manager-index prefix fits.
+    /// The ID width the engine will actually run with: the fabric plan
+    /// narrows an engine that shares its channel's mux tree to the
+    /// leaf-local width so the level prefixes fit.
     pub effective_id_bits: u32,
     /// Maximum concurrently outstanding load transactions.
     pub max_outstanding_loads: usize,
@@ -329,7 +329,7 @@ pub enum EdgeKind {
 }
 
 /// The component/channel wait-for graph of a system: nodes are pipeline
-/// stages (engine issue/drain sides, channel bundles, the mux, the
+/// stages (engine issue/drain sides, leaf channels, every mux, the
 /// adapter, the banked memory), directed edges mean "the source waits on
 /// the target". A cycle made entirely of [`EdgeKind::Conditional`] edges
 /// is a potential deadlock ([`Rule::CreditCycle`]).
@@ -376,12 +376,8 @@ impl ComponentGraph {
     /// subgraph is acyclic (deadlock-free).
     pub fn conditional_cycle(&self) -> Option<Vec<usize>> {
         // Iterative DFS with colors over the Conditional-only subgraph.
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); self.nodes.len()];
-        for &(a, b, kind) in &self.edges {
-            if kind == EdgeKind::Conditional {
-                succ[a].push(b);
-            }
-        }
+        let conditional = self.edges.iter().filter(|e| e.2 == EdgeKind::Conditional);
+        let (starts, succ) = self.successors(conditional.map(|&(a, b, _)| (a, b)));
         #[derive(Clone, Copy, PartialEq)]
         enum Color {
             White,
@@ -390,22 +386,23 @@ impl ComponentGraph {
         }
         let mut color = vec![Color::White; self.nodes.len()];
         let mut parent = vec![usize::MAX; self.nodes.len()];
+        // Stack of (node, index into `succ` of its next successor).
+        let mut stack: Vec<(usize, usize)> = Vec::new();
         for start in 0..self.nodes.len() {
             if color[start] != Color::White {
                 continue;
             }
-            // Stack of (node, next-successor-index).
-            let mut stack = vec![(start, 0usize)];
+            stack.push((start, starts[start]));
             color[start] = Color::Gray;
             while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-                if *next < succ[node].len() {
-                    let n = succ[node][*next];
+                if *next < starts[node + 1] {
+                    let n = succ[*next];
                     *next += 1;
                     match color[n] {
                         Color::White => {
                             color[n] = Color::Gray;
                             parent[n] = node;
-                            stack.push((n, 0));
+                            stack.push((n, starts[n]));
                         }
                         Color::Gray => {
                             // Found a back edge node -> n: walk parents
@@ -432,18 +429,15 @@ impl ComponentGraph {
 
     /// Nodes not connected (in either edge direction) to any of `roots`.
     pub fn unreachable_from(&self, roots: &[usize]) -> Vec<usize> {
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); self.nodes.len()];
-        for &(a, b, _) in &self.edges {
-            adj[a].push(b);
-            adj[b].push(a);
-        }
+        let both_ways = self.edges.iter().flat_map(|&(a, b, _)| [(a, b), (b, a)]);
+        let (starts, adj) = self.successors(both_ways);
         let mut seen = vec![false; self.nodes.len()];
         let mut queue: Vec<usize> = roots.iter().copied().filter(|&r| r < seen.len()).collect();
         for &r in &queue {
             seen[r] = true;
         }
         while let Some(n) = queue.pop() {
-            for &m in &adj[n] {
+            for &m in &adj[starts[n]..starts[n + 1]] {
                 if !seen[m] {
                     seen[m] = true;
                     queue.push(m);
@@ -451,6 +445,30 @@ impl ComponentGraph {
             }
         }
         (0..self.nodes.len()).filter(|&i| !seen[i]).collect()
+    }
+
+    /// The successor lists of `arcs`, compressed into one array: node
+    /// `n`'s successors are `succ[starts[n]..starts[n + 1]]`, in arc
+    /// order. Three allocations in all: a 128-requestor fabric's graph
+    /// has about 600 nodes, and a list per node would dominate the check.
+    fn successors(
+        &self,
+        arcs: impl Iterator<Item = (usize, usize)> + Clone,
+    ) -> (Vec<usize>, Vec<usize>) {
+        let mut starts = vec![0; self.nodes.len() + 1];
+        for (a, _) in arcs.clone() {
+            starts[a + 1] += 1;
+        }
+        for n in 0..self.nodes.len() {
+            starts[n + 1] += starts[n];
+        }
+        let mut fill = starts.clone();
+        let mut succ = vec![0; starts[self.nodes.len()]];
+        for (a, b) in arcs {
+            succ[fill[a]] = b;
+            fill[a] += 1;
+        }
+        (starts, succ)
     }
 }
 
@@ -485,6 +503,9 @@ pub struct SystemModel {
     pub fabric_channels: usize,
     /// Manager fan-in of one mux level of the fabric.
     pub fabric_arity: usize,
+    /// ID bits a leaf keeps below the stacked level prefixes (the width
+    /// engines behind a mux run at).
+    pub local_id_bits: u32,
     /// ID-prefix bits each mux level stacks onto a transaction ID.
     pub level_bits: u32,
     /// Mux-tree depth of the channel with the most bus-attached
@@ -492,9 +513,6 @@ pub struct SystemModel {
     pub fabric_depth: u32,
     /// The fabric's address-to-channel decoder.
     pub channel_map: ChannelMap,
-    /// Owning memory channel of each requestor's window, in requestor
-    /// order.
-    pub channel_of: Vec<usize>,
     /// One window per requestor, in requestor order.
     pub windows: Vec<WindowModel>,
     /// One engine per requestor, in requestor order.
@@ -527,61 +545,22 @@ fn kernel_content_end(kernel: &Kernel) -> u64 {
     image_end.max(check_end)
 }
 
-/// Extracts the static model of a topology: windows (from the derived
-/// window bases), engines (with the *effective* ID width the run loop
-/// will impose), capacities, and the wait-for graph. Never panics — even
-/// on configurations the run paths would reject.
+/// Extracts the static model of a topology: windows, engines (with the
+/// ID width the plan runs them at), capacities, and the wait-for graph
+/// of the fabric the plan wires. Never panics — even on configurations
+/// the run paths would reject.
 pub fn extract(topo: &Topology) -> SystemModel {
-    let reqs: Vec<(SystemKind, &Kernel)> = topo
-        .requestors
-        .iter()
-        .map(|r| (r.kind, &r.kernel))
-        .collect();
-    build_model(&topo.system, &reqs, topo.fabric, topo.placement())
-}
-
-/// [`extract`] for the classic single-requestor system, without building
-/// a [`Topology`] (the `run_kernel` hot path stays allocation-lean).
-pub fn extract_single(cfg: &SystemConfig, kind: SystemKind, kernel: &Kernel) -> SystemModel {
-    let fabric = FabricSpec::default();
-    let placement = Placement::new(vec![kernel.storage_size as u64], fabric.channels);
-    build_model(cfg, &[(kind, kernel)], fabric, placement)
+    build_model(&topo.system, &topo.reqs(), &topo.placement())
 }
 
 fn build_model(
     sys: &SystemConfig,
     reqs: &[(SystemKind, &Kernel)],
-    fabric: FabricSpec,
-    placement: Placement,
+    placement: &Placement,
 ) -> SystemModel {
-    let Placement {
-        window_bases: bases,
-        channels: channel_map,
-        channel_of,
-        ..
-    } = placement;
-    let nch = fabric.channels.max(1);
-    // Bus-attached (and total) member counts per channel: a requestor is
-    // narrowed to manager-local IDs only when it shares *its channel's*
-    // mux tree with another bus-attached requestor.
-    let mut bus_members = vec![0usize; nch];
-    let mut members = vec![0usize; nch];
-    for (i, (kind, _)) in reqs.iter().enumerate() {
-        let c = channel_of.get(i).copied().unwrap_or(0).min(nch - 1);
-        members[c] += 1;
-        if *kind != SystemKind::Ideal {
-            bus_members[c] += 1;
-        }
-    }
-    let fabric_depth = bus_members
-        .iter()
-        .map(|&m| fabric.depth_for(m))
-        .max()
-        .unwrap_or(0) as u32;
-
     let windows: Vec<WindowModel> = reqs
         .iter()
-        .zip(&bases)
+        .zip(&placement.window_bases)
         .enumerate()
         .map(|(i, ((_, kernel), &base))| WindowModel {
             path: format!("requestor[{i}].window"),
@@ -592,32 +571,19 @@ fn build_model(
         .collect();
     let engines: Vec<EngineModel> = reqs
         .iter()
+        .zip(&placement.id_bits)
         .enumerate()
-        .map(|(i, (kind, _))| EngineModel {
+        .map(|(i, (&(kind, _), &effective_id_bits))| EngineModel {
             path: format!("requestor[{i}].engine"),
-            kind: *kind,
+            kind,
             configured_id_bits: sys.vproc.axi_id_bits,
-            // The run loops narrow a bus-attached engine to the
-            // manager-local ID width when it shares its channel's mux
-            // tree with another bus-attached requestor.
-            effective_id_bits: if *kind != SystemKind::Ideal
-                && bus_members[channel_of.get(i).copied().unwrap_or(0).min(nch - 1)] > 1
-            {
-                LOCAL_ID_BITS
-            } else {
-                sys.vproc.axi_id_bits
-            },
+            effective_id_bits,
             max_outstanding_loads: sys.vproc.max_outstanding_loads,
             lanes: sys.vproc.lanes,
             vlen_bytes: sys.vproc.vlen_bytes,
             window: sys.vproc.window,
         })
         .collect();
-    let storage_bytes = windows
-        .iter()
-        .map(|w| w.base as usize + w.size)
-        .max()
-        .unwrap_or(0);
 
     // The wait-for graph. Nodes are pipeline stages; an edge A -> B means
     // "A makes progress only when B does" (Conditional) or "A feeds B,
@@ -626,80 +592,63 @@ fn build_model(
     // engine's drain side, which pops R/B every cycle regardless of the
     // engine's own issue state — that unconditional sink is what makes
     // the in-tree systems deadlock-free. Each channel is an independent
-    // memory + adapter + mux-tree stack; the single-channel case keeps
-    // the historical unprefixed node names.
+    // memory + adapter + mux-tree stack, wired as the plan wires it.
     let mut graph = ComponentGraph::new();
     let mut engine_nodes = Vec::with_capacity(reqs.len());
     struct ChanNodes {
         memory: usize,
-        adapter: usize,
-        mux: Option<(usize, usize)>,
+        /// Per bundle of the channel: the (request, response) nodes of
+        /// the stage that consumes it — the mux it feeds, or the adapter.
+        consumer: Vec<(usize, usize)>,
     }
-    let mut chans: Vec<Option<ChanNodes>> = Vec::with_capacity(nch);
-    for c in 0..nch {
-        // Empty channels get no hardware (DRC-F1 reports them as
-        // unreachable) — except the classic single-channel system, which
-        // always has its memory node, even with no requestors.
-        if nch > 1 && members[c] == 0 {
+    let mut chans: Vec<Option<ChanNodes>> = Vec::with_capacity(placement.trees.len());
+    for (c, tree) in placement.trees.iter().enumerate() {
+        // A channel no window routes to gets no hardware: DRC-F1 names it.
+        if !placement.channel_of.contains(&c) {
             chans.push(None);
             continue;
         }
-        let prefix = if nch == 1 {
-            String::new()
-        } else {
-            format!("ch{c}.")
-        };
-        let memory = graph.add_node(format!("{prefix}memory.banks"));
-        let (adapter, mux) = if bus_members[c] > 0 {
-            let adapter = graph.add_node(format!("{prefix}adapter"));
+        let memory = graph.add_node(format!("ch{c}.memory.banks"));
+        let mut consumer = Vec::new();
+        if !tree.members.is_empty() {
+            let adapter = graph.add_node(format!("ch{c}.adapter"));
             graph.add_edge(adapter, memory, EdgeKind::Conditional);
-            if bus_members[c] > 1 {
-                let mux_req = graph.add_node(format!("{prefix}mux.request"));
-                let mux_resp = graph.add_node(format!("{prefix}mux.response"));
-                let down_req = graph.add_node(format!("{prefix}bus.downstream.request"));
-                let down_resp = graph.add_node(format!("{prefix}bus.downstream.response"));
-                graph.add_edge(mux_req, down_req, EdgeKind::Conditional);
-                graph.add_edge(down_req, adapter, EdgeKind::Conditional);
-                graph.add_edge(adapter, down_resp, EdgeKind::Conditional);
-                graph.add_edge(down_resp, mux_resp, EdgeKind::Conditional);
-                (adapter, Some((mux_req, mux_resp)))
-            } else {
-                (adapter, None)
+            consumer = vec![(adapter, adapter); tree.bundles()];
+            // One request/response node pair per mux, top-down so each
+            // mux's down-link consumer is known when it is wired.
+            for l in (0..tree.depth()).rev() {
+                for (k, m) in tree.level(l).enumerate() {
+                    let w = tree.muxes[m];
+                    let req = graph.add_node(format!("ch{c}.level{l}.mux{k}.request"));
+                    let resp = graph.add_node(format!("ch{c}.level{l}.mux{k}.response"));
+                    let (up_req, up_resp) = consumer[w.down];
+                    graph.add_edge(req, up_req, EdgeKind::Conditional);
+                    graph.add_edge(up_resp, resp, EdgeKind::Conditional);
+                    consumer[w.lo..w.hi].fill((req, resp));
+                }
             }
-        } else {
-            (usize::MAX, None)
-        };
-        chans.push(Some(ChanNodes {
-            memory,
-            adapter,
-            mux,
-        }));
+        }
+        chans.push(Some(ChanNodes { memory, consumer }));
     }
-    for (i, (kind, _)) in reqs.iter().enumerate() {
+    for (i, slot) in placement.slots.iter().enumerate() {
         let issue = graph.add_node(format!("requestor[{i}].engine.issue"));
         engine_nodes.push(issue);
-        let c = channel_of.get(i).copied().unwrap_or(0).min(nch - 1);
-        let Some(chan) = &chans[c] else { continue };
-        if *kind == SystemKind::Ideal {
+        let Some(chan) = &chans[placement.channel_of[i]] else {
+            continue;
+        };
+        let Some((_, leaf)) = *slot else {
             // Per-lane ports into the channel's store: fixed latency,
             // always drains — no response path to model.
             graph.add_edge(issue, chan.memory, EdgeKind::Unconditional);
             continue;
-        }
+        };
         let drain = graph.add_node(format!("requestor[{i}].engine.drain"));
         let req_ch = graph.add_node(format!("requestor[{i}].axi.request"));
         let resp_ch = graph.add_node(format!("requestor[{i}].axi.response"));
+        let (up_req, up_resp) = chan.consumer[leaf];
         graph.add_edge(issue, req_ch, EdgeKind::Conditional);
-        match chan.mux {
-            Some((mq, mr)) => {
-                graph.add_edge(req_ch, mq, EdgeKind::Conditional);
-                graph.add_edge(mr, resp_ch, EdgeKind::Conditional);
-            }
-            None => {
-                graph.add_edge(req_ch, chan.adapter, EdgeKind::Conditional);
-                graph.add_edge(chan.adapter, resp_ch, EdgeKind::Conditional);
-            }
-        }
+        graph.add_edge(req_ch, up_req, EdgeKind::Conditional);
+        graph.add_edge(up_resp, resp_ch, EdgeKind::Conditional);
         // The engine pops R/B every cycle: the response channel always
         // drains into the engine's drain side, which waits on nothing.
         graph.add_edge(resp_ch, drain, EdgeKind::Unconditional);
@@ -714,13 +663,13 @@ fn build_model(
         plain_txn_slots: BASE_TXNS,
         packed_burst_slots: PACKED_BURSTS,
         max_cycles: sys.max_cycles,
-        storage_bytes,
-        fabric_channels: fabric.channels,
-        fabric_arity: fabric.arity,
-        level_bits: fabric.level_bits(),
-        fabric_depth,
-        channel_map,
-        channel_of,
+        storage_bytes: placement.storage_bytes,
+        fabric_channels: placement.fabric.channels,
+        fabric_arity: placement.fabric.arity,
+        local_id_bits: placement.id_bits_at(0),
+        level_bits: placement.level_bits,
+        fabric_depth: placement.depth() as u32,
+        channel_map: placement.channels.clone(),
         windows,
         engines,
         graph,
@@ -749,15 +698,27 @@ pub fn check_model(model: &SystemModel) -> DrcReport {
     report
 }
 
-/// Extracts and checks a topology in one call — the default gate of the
-/// run paths.
+/// Extracts and checks a topology in one call — the gate of
+/// [`crate::TopologyBuilder::build`].
 pub fn check_topology(topo: &Topology) -> DrcReport {
     check_model(&extract(topo))
 }
 
-/// [`check_topology`] for the classic single-requestor system.
+/// [`check_topology`] for the classic single-requestor system, without
+/// building a [`Topology`].
 pub fn check_single(cfg: &SystemConfig, kind: SystemKind, kernel: &Kernel) -> DrcReport {
-    check_model(&extract_single(cfg, kind, kernel))
+    let reqs = [(kind, kernel)];
+    check_plan(cfg, &reqs, &Placement::new(cfg, &FabricSpec::flat(), &reqs))
+}
+
+/// Checks the fabric `placement` planned for `reqs` — the gate of the
+/// run paths, which then run that same plan.
+pub(crate) fn check_plan(
+    sys: &SystemConfig,
+    reqs: &[(SystemKind, &Kernel)],
+    placement: &Placement,
+) -> DrcReport {
+    check_model(&build_model(sys, reqs, placement))
 }
 
 /// `DRC-W1`/`DRC-W2`/`DRC-W3`: window alignment, disjointness, bounds.
@@ -897,17 +858,17 @@ fn check_ids(model: &SystemModel, report: &mut DrcReport) {
     // Per-level ID budget: every mux level of the deepest tree stacks
     // level_bits of port prefix onto the leaf-local ID; the total must
     // still fit the bus's transaction-ID field.
-    let total_bits = LOCAL_ID_BITS + model.fabric_depth * model.level_bits;
-    if model.fabric_depth > 0 && total_bits > ID_BITS {
+    let (depth, local, level) = (model.fabric_depth, model.local_id_bits, model.level_bits);
+    let total_bits = local + depth * level;
+    if depth > 0 && total_bits > ID_BITS {
         report.push(
             Rule::IdCapacity,
             Severity::Error,
             "fabric",
             format!(
-                "a {}-level mux tree needs {} ID bits ({} leaf-local + \
-                 {} levels x {} prefix bits), past the {ID_BITS}-bit \
-                 transaction ID",
-                model.fabric_depth, total_bits, LOCAL_ID_BITS, model.fabric_depth, model.level_bits
+                "a {depth}-level mux tree needs {total_bits} ID bits ({local} \
+                 leaf-local + {depth} levels x {level} prefix bits), past the \
+                 {ID_BITS}-bit transaction ID"
             ),
             "spread requestors over more channels or raise the arity to \
              shrink the tree",
@@ -1188,12 +1149,17 @@ fn check_vproc_shape(model: &SystemModel, report: &mut DrcReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use axi_proto::LOCAL_ID_BITS;
     use workloads::ismt;
 
     fn paper_model() -> SystemModel {
         let cfg = SystemConfig::paper(SystemKind::Pack);
         let k = ismt::build(16, 1, &cfg.kernel_params());
-        extract_single(&cfg, SystemKind::Pack, &k)
+        extract(&Topology {
+            system: cfg,
+            requestors: vec![crate::Requestor::new(SystemKind::Pack, k)],
+            fabric: FabricSpec::default(),
+        })
     }
 
     #[test]
@@ -1286,7 +1252,7 @@ mod tests {
 
     #[test]
     fn i1_masked_id_space_smaller_than_outstanding_limit_is_an_error() {
-        // Behind the mux the run loop narrows every engine to
+        // Behind the mux the plan narrows every engine to
         // LOCAL_ID_BITS; 64 outstanding loads + 1 store need 65 live IDs
         // against 64 available — the allocator would wrap and alias.
         let mut cfg = SystemConfig::paper(SystemKind::Pack);

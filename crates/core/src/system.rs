@@ -33,9 +33,7 @@
 use std::borrow::Cow;
 
 use axi_proto::checker::Monitor;
-use axi_proto::{
-    AxiChannels, AxiId, AxiMux, BusConfig, ID_BITS, LOCAL_ID_BITS, MAX_FAN_IN, MAX_MANAGERS,
-};
+use axi_proto::{AxiChannels, AxiId, AxiMux, BusConfig, LOCAL_ID_BITS, MAX_FAN_IN, MAX_MANAGERS};
 use banked_mem::{BankConfig, ChannelMap, Storage, WordFault};
 use hwmodel::energy::{Activity, EnergyModel};
 use pack_ctrl::{Adapter, CtrlConfig};
@@ -248,7 +246,9 @@ impl SystemConfig {
         BusConfig::new(self.bus_bits)
     }
 
-    fn ctrl(&self) -> CtrlConfig {
+    /// Controller config for one channel of a fabric: this system's banks
+    /// with the fabric's row-buffer timing model.
+    fn ctrl_for(&self, fabric: &FabricSpec) -> CtrlConfig {
         let bank = BankConfig {
             banks: self.banks,
             word_bytes: 4,
@@ -258,19 +258,10 @@ impl SystemConfig {
             // Eager-functional execution is the source of truth for
             // memory contents; timed writes keep timing only.
             commit_writes: false,
-            row_words: 0,
-            row_miss_penalty: 0,
+            row_words: fabric.row_words,
+            row_miss_penalty: fabric.row_miss_penalty,
         };
         CtrlConfig::new(self.bus(), bank, self.queue_depth)
-    }
-
-    /// Controller config for one channel of a fabric: the flat [`Self::ctrl`]
-    /// banks plus the fabric's row-buffer timing model.
-    fn ctrl_for(&self, fabric: &FabricSpec) -> CtrlConfig {
-        let mut cfg = self.ctrl();
-        cfg.bank.row_words = fabric.row_words;
-        cfg.bank.row_miss_penalty = fabric.row_miss_penalty;
-        cfg
     }
 }
 
@@ -365,33 +356,95 @@ impl FabricSpec {
             ..self
         }
     }
+}
 
-    /// ID-prefix bits one mux level of this fabric occupies.
-    pub(crate) fn level_bits(&self) -> u32 {
-        (self.arity.max(2) - 1).ilog2() + 1
+/// Where one mux of a channel's tree sits among the channel's bundles
+/// (see [`ChannelPlan::bundles`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MuxWiring {
+    /// First of its manager ports, `bundles[lo..hi]`.
+    pub(crate) lo: usize,
+    /// One past its last manager port.
+    pub(crate) hi: usize,
+    /// Its downstream link, `bundles[down]`; always at or above `hi`.
+    pub(crate) down: usize,
+    /// ID bits below its port prefix: the leaf-local bits plus one
+    /// prefix per level beneath it.
+    pub(crate) shift: u32,
+}
+
+/// The mux tree of one memory channel, as [`Placement`] wires it.
+#[derive(Debug, Clone)]
+pub(crate) struct ChannelPlan {
+    /// Requestor index of every leaf port, in port order: the channel's
+    /// bus-attached requestors.
+    pub(crate) members: Vec<usize>,
+    /// Every mux, level by level bottom-up, the last level exactly one
+    /// mux — the tree root. Empty when a lone member's leaf is the
+    /// adapter's link, or on an all-IDEAL channel.
+    pub(crate) muxes: Vec<MuxWiring>,
+    /// Level `l` holds `muxes[level_starts[l]..level_starts[l + 1]]`.
+    level_starts: Vec<usize>,
+}
+
+impl ChannelPlan {
+    /// Wires the tree over `members`' leaf ports: each level groups
+    /// `arity` consecutive links of the level below under one mux, whose
+    /// down-link is the next new bundle, until a single link remains.
+    fn new(members: Vec<usize>, arity: usize, id_bits_at: impl Fn(usize) -> u32) -> Self {
+        let mut muxes = Vec::new();
+        let mut level_starts = vec![0];
+        // The current level's ports are `bundles[first..first + width]`.
+        let (mut first, mut width) = (0, members.len());
+        while width > 1 {
+            let links = members.len() + muxes.len();
+            let shift = id_bits_at(level_starts.len() - 1);
+            for k in 0..width.div_ceil(arity) {
+                let lo = first + k * arity;
+                muxes.push(MuxWiring {
+                    lo,
+                    hi: (lo + arity).min(first + width),
+                    down: links + k,
+                    shift,
+                });
+            }
+            level_starts.push(muxes.len());
+            (first, width) = (links, members.len() + muxes.len() - links);
+        }
+        ChannelPlan {
+            members,
+            muxes,
+            level_starts,
+        }
     }
 
-    /// Mux levels needed to funnel `managers` ports into one — 0 when a
-    /// single port (or none) needs no mux at all. Arities below 2 never
-    /// converge; they are reported as a DRC error and treated as flat
-    /// here so the walk terminates.
-    pub(crate) fn depth_for(&self, managers: usize) -> usize {
-        let arity = self.arity.max(2);
-        let mut width = managers;
-        let mut depth = 0;
-        while width > 1 {
-            width = width.div_ceil(arity);
-            depth += 1;
-        }
-        depth
+    /// Mux levels of the tree (0 for a lone member or an all-IDEAL
+    /// channel).
+    pub(crate) fn depth(&self) -> usize {
+        self.level_starts.len() - 1
+    }
+
+    /// The indices into [`ChannelPlan::muxes`] of level `l`, bottom-up.
+    pub(crate) fn level(&self, l: usize) -> std::ops::Range<usize> {
+        self.level_starts[l]..self.level_starts[l + 1]
+    }
+
+    /// Bus bundles of the channel: first the leaves, one per member in
+    /// port order, then each mux's down-link in mux order. The last
+    /// bundle is the link the adapter serves — the tree's root link, or
+    /// a lone member's leaf.
+    pub(crate) fn bundles(&self) -> usize {
+        self.members.len() + self.muxes.len()
     }
 }
 
-/// Physical placement of a [`Topology`]: every requestor's address
-/// window, the decoder interleaving those windows across memory
-/// channels, and each requestor's owning channel. The one authoritative
-/// geometry answer shared by the run loops, the DRC and the cache-key
-/// canon — none of them re-derive windows or channel routing ad hoc.
+/// Physical placement of a [`Topology`] and the plan of its fabric: every
+/// requestor's address window, the decoder interleaving those windows
+/// across memory channels, each requestor's owning channel, leaf port and
+/// ID width, and the mux tree of every channel. The one authoritative
+/// answer shared by the run loop, the DRC and the forensics — none of
+/// them re-derive windows, channel routing, tree wiring or ID widths ad
+/// hoc.
 #[derive(Debug, Clone)]
 pub struct Placement {
     /// Window base address per requestor (4 KiB-aligned, disjoint,
@@ -405,39 +458,119 @@ pub struct Placement {
     pub channel_of: Vec<usize>,
     /// Total backing-store bytes covering every window.
     pub storage_bytes: usize,
+    /// The fabric as configured (the DRC judges its raw arity and
+    /// channel count).
+    pub(crate) fabric: FabricSpec,
+    /// ID-prefix bits one mux level stacks.
+    pub(crate) level_bits: u32,
+    /// The mux tree of every channel, `fabric.channels.max(1)` of them.
+    pub(crate) trees: Vec<ChannelPlan>,
+    /// Per requestor: its `(channel, leaf port)`, `None` for IDEAL.
+    pub(crate) slots: Vec<Option<(usize, usize)>>,
+    /// Per requestor: the AXI ID width its engine runs at.
+    pub(crate) id_bits: Vec<u32>,
 }
 
 impl Placement {
-    /// Lays windows of the given sizes out back to back (4 KiB-aligned,
-    /// the first at address 0) and interleaves them across `channels`
-    /// memory channels.
-    pub(crate) fn new(window_sizes: Vec<u64>, channels: usize) -> Self {
+    /// Lays the requestors' windows out back to back (4 KiB-aligned, the
+    /// first at address 0), interleaves them across the fabric's memory
+    /// channels, and plans every channel's mux tree over its
+    /// bus-attached requestors in requestor order. Never panics, however
+    /// malformed the fabric: the DRC diagnoses it afterwards.
+    pub(crate) fn new(
+        sys: &SystemConfig,
+        fabric: &FabricSpec,
+        reqs: &[(SystemKind, &Kernel)],
+    ) -> Self {
         let mut next = 0u64;
-        let window_bases: Vec<u64> = window_sizes
+        let windows: Vec<(u64, u64)> = reqs
             .iter()
-            .map(|&size| {
-                let base = next;
-                next = (next + size).div_ceil(WINDOW_ALIGN) * WINDOW_ALIGN;
-                base
+            .map(|(_, k)| {
+                let (base, size) = (next, k.storage_size as u64);
+                next = (base + size).div_ceil(WINDOW_ALIGN) * WINDOW_ALIGN;
+                (base, size)
             })
             .collect();
-        let windows: Vec<(u64, u64)> = window_bases
+        let nch = fabric.channels.max(1);
+        let channel_of: Vec<usize> = (0..windows.len()).map(|i| i % nch).collect();
+        // Bus-attached requestors take their channel's leaf ports in
+        // requestor order; IDEAL ones use per-lane ports and take none.
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); nch];
+        let slots: Vec<Option<(usize, usize)>> = reqs
             .iter()
-            .copied()
-            .zip(window_sizes.iter().copied())
+            .zip(&channel_of)
+            .enumerate()
+            .map(|(i, (&(kind, _), &c))| {
+                (kind != SystemKind::Ideal).then(|| {
+                    members[c].push(i);
+                    (c, members[c].len() - 1)
+                })
+            })
             .collect();
-        let nch = channels.max(1);
-        Placement {
-            channels: ChannelMap::interleaved(&windows, channels),
-            channel_of: (0..windows.len()).map(|i| i % nch).collect(),
+        // The one clamp of the arity: the DRC rejects arities outside
+        // 2..=MAX_FAN_IN from the raw spec, and the plan stays panic-free.
+        let arity = fabric.arity.clamp(2, MAX_FAN_IN);
+        let mut plan = Placement {
+            channels: ChannelMap::interleaved(&windows, fabric.channels),
+            channel_of,
+            // Windows ascend, so the last one ends the store.
             storage_bytes: windows
-                .iter()
-                .map(|&(base, size)| (base + size) as usize)
-                .max()
-                .unwrap_or(0),
-            window_bases,
-            window_sizes,
+                .last()
+                .map_or(0, |&(base, size)| (base + size) as usize),
+            window_bases: windows.iter().map(|&(base, _)| base).collect(),
+            window_sizes: windows.iter().map(|&(_, size)| size).collect(),
+            fabric: *fabric,
+            level_bits: (arity - 1).ilog2() + 1,
+            trees: Vec::new(),
+            slots,
+            id_bits: Vec::new(),
+        };
+        plan.trees = members
+            .into_iter()
+            .map(|m| ChannelPlan::new(m, arity, |l| plan.id_bits_at(l)))
+            .collect();
+        // Behind a mux tree, local IDs must leave room for the stacked
+        // level prefixes.
+        plan.id_bits = plan
+            .slots
+            .iter()
+            .map(|slot| match *slot {
+                Some((c, _)) if !plan.trees[c].muxes.is_empty() => plan.id_bits_at(0),
+                _ => sys.vproc.axi_id_bits,
+            })
+            .collect();
+        plan
+    }
+
+    /// ID bits a transaction carries above `level` mux levels of a tree:
+    /// the leaf-local width, plus one port prefix per level.
+    pub(crate) fn id_bits_at(&self, level: usize) -> u32 {
+        LOCAL_ID_BITS + level as u32 * self.level_bits
+    }
+
+    /// Mux levels of the deepest channel's tree.
+    pub(crate) fn depth(&self) -> usize {
+        self.trees.iter().map(ChannelPlan::depth).max().unwrap_or(0)
+    }
+
+    /// The ID under which requestor `i`'s leaf-local ID `local` reaches
+    /// its channel's adapter: every mux on the path stacks its port
+    /// prefix, exactly as the tree remaps on the way down. A lone leaf
+    /// or an IDEAL requestor keeps its ID.
+    pub(crate) fn endpoint_id(&self, i: usize, local: u16) -> u16 {
+        let Some((c, leaf)) = self.slots[i] else {
+            return local;
+        };
+        let (mut id, mut link) = (AxiId(local), leaf);
+        // Muxes are listed bottom-up and every down-link lies above its
+        // ports, so one pass meets the path's muxes in order.
+        for w in &self.trees[c].muxes {
+            if (w.lo..w.hi).contains(&link) {
+                id = AxiMux::prefix_id(w.shift, link - w.lo, id);
+                link = w.down;
+            }
         }
+        id.0
     }
 }
 
@@ -475,17 +608,22 @@ impl Topology {
         self.placement().window_bases
     }
 
-    /// The full physical placement: windows, channel interleave, and the
-    /// backing-store size. Never panics — degenerate fabrics (zero
-    /// channels, empty requestor lists) produce a degenerate placement
-    /// the DRC then diagnoses.
+    /// The full physical placement: windows, channel interleave, the
+    /// backing-store size and the plan of every channel's mux tree. Never
+    /// panics — degenerate fabrics (zero channels, out-of-range arities,
+    /// empty requestor lists) produce a degenerate placement the DRC then
+    /// diagnoses.
     pub fn placement(&self) -> Placement {
-        let sizes = self
-            .requestors
+        Placement::new(&self.system, &self.fabric, &self.reqs())
+    }
+
+    /// Every requestor as the `(kind, kernel)` pair the plan, the DRC and
+    /// the run loop read.
+    pub(crate) fn reqs(&self) -> Vec<(SystemKind, &Kernel)> {
+        self.requestors
             .iter()
-            .map(|r| r.kernel.storage_size as u64)
-            .collect();
-        Placement::new(sizes, self.fabric.channels)
+            .map(|r| (r.kind, &r.kernel))
+            .collect()
     }
 }
 
@@ -548,25 +686,6 @@ impl TopologyBuilder {
     /// Replaces the whole fabric shape.
     pub fn fabric(mut self, fabric: FabricSpec) -> Self {
         self.fabric = fabric;
-        self
-    }
-
-    /// Sets the memory-channel count (windows interleave round-robin).
-    pub fn channels(mut self, channels: usize) -> Self {
-        self.fabric.channels = channels;
-        self
-    }
-
-    /// Sets the per-level mux fan-in.
-    pub fn arity(mut self, arity: usize) -> Self {
-        self.fabric.arity = arity;
-        self
-    }
-
-    /// Enables the DRAM-style row-buffer model on every channel's banks.
-    pub fn row_buffer(mut self, row_words: usize, row_miss_penalty: usize) -> Self {
-        self.fabric.row_words = row_words;
-        self.fabric.row_miss_penalty = row_miss_penalty;
         self
     }
 
@@ -878,16 +997,13 @@ fn run_solo(
     kernel: &Kernel,
     probe: Option<&mut RunProbe>,
 ) -> Result<RunReport, RunError> {
-    let drc = drc::check_single(cfg, cfg.kind, kernel);
-    if !drc.is_clean() {
-        return Err(RunError::Drc(drc));
-    }
-    let mut report = run_cached(
+    let mut report = run_planned(
         cfg,
+        &FabricSpec::flat(),
+        &[(cfg.kind, kernel)],
         probe,
         || crate::cache::single_run_key(cfg, cfg.kind, kernel),
         || crate::cache::placeholder_single(cfg, cfg.kind, kernel),
-        |probe| run_fabric(cfg, &FabricSpec::flat(), &[(cfg.kind, kernel)], probe),
     )?;
     // With nobody to isolate it from, a faulted solo is a typed abort.
     match report.outcomes.swap_remove(0) {
@@ -953,56 +1069,46 @@ pub fn run_system_probed(topo: &Topology, probe: &mut RunProbe) -> Result<System
 }
 
 fn run_topology(topo: &Topology, probe: Option<&mut RunProbe>) -> Result<SystemReport, RunError> {
-    // Empty and malformed topologies are typed rejections, never panics.
-    let drc = drc::check_topology(topo);
-    if !drc.is_clean() {
-        return Err(RunError::Drc(drc));
-    }
-    let reqs: Vec<(SystemKind, &Kernel)> = topo
-        .requestors
-        .iter()
-        .map(|r| (r.kind, &r.kernel))
-        .collect();
-    run_cached(
+    run_planned(
         &topo.system,
+        &topo.fabric,
+        &topo.reqs(),
         probe,
         || crate::cache::topology_key(topo),
         || crate::cache::placeholder_topology(topo),
-        |probe| run_fabric(&topo.system, &topo.fabric, &reqs, probe),
     )
 }
 
-/// The cache gate in front of the run loop. Probed runs NEVER consult
-/// the cache: a [`RunProbe`] captures bus-level event streams reports
-/// don't carry, and the differential oracle must re-execute runs
-/// independently, not read back its own answers. Fault-injected runs
-/// bypass it too: their reports depend on the [`FaultSpec`], which is
-/// deliberately not part of the key canon. Every other run is served by
-/// key when a [`crate::cache::RunCache`] is installed.
-fn run_cached(
+/// The gate in front of the run loop: plans the fabric once, has the DRC
+/// judge that plan — empty and malformed topologies are typed rejections,
+/// never panics — and runs it. Probed runs NEVER consult the cache: a
+/// [`RunProbe`] captures bus-level event streams reports don't carry,
+/// and the differential oracle must re-execute runs independently, not
+/// read back its own answers. Fault-injected runs bypass it too: their
+/// reports depend on the [`FaultSpec`], which is deliberately not part
+/// of the key canon. Every other run is served by key when a
+/// [`crate::cache::RunCache`] is installed.
+fn run_planned(
     sys: &SystemConfig,
+    fabric: &FabricSpec,
+    reqs: &[(SystemKind, &Kernel)],
     probe: Option<&mut RunProbe>,
     key: impl FnOnce() -> simkit_cache::Digest,
     placeholder: impl FnOnce() -> SystemReport,
-    run: impl FnOnce(Option<&mut RunProbe>) -> Result<SystemReport, RunError>,
 ) -> Result<SystemReport, RunError> {
+    let placement = Placement::new(sys, fabric, reqs);
+    let drc = drc::check_plan(sys, reqs, &placement);
+    if !drc.is_clean() {
+        return Err(RunError::Drc(drc));
+    }
     if probe.is_none() && sys.fault.is_none() {
         if let Some(rc) = crate::cache::active() {
-            return rc.run_report(key(), placeholder, || run(None));
+            return rc.run_report(key(), placeholder, || {
+                run_fabric(sys, reqs, &placement, None)
+            });
         }
     }
-    run(probe)
-}
-
-/// Where one mux of a channel's tree sits among the channel's bundles.
-#[derive(Debug, Clone, Copy)]
-struct MuxWiring {
-    /// First of its manager ports, `bundles[lo..hi]`.
-    lo: usize,
-    /// One past its last manager port.
-    hi: usize,
-    /// Its downstream link, `bundles[down]`; always at or above `hi`.
-    down: usize,
+    run_fabric(sys, reqs, &placement, probe)
 }
 
 /// One memory channel of the fabric: a cascaded tree of round-robin
@@ -1019,20 +1125,16 @@ struct MuxWiring {
 /// nothing staged and an unchanged occupancy, monitors observe only
 /// staged beats, and an idle mux tick changes no state. Lockstep ends
 /// every bundle and ticks every mux.
-struct ChannelHw {
-    /// Requestor index of every leaf port, in port order.
-    members: Vec<usize>,
-    /// Every bus bundle of the channel: first the leaves, one per member
-    /// in port order (engines tick straight into these), then each mux
-    /// level's downstream links bottom-up. The last bundle is the link
-    /// the adapter serves — the tree's root link, or a lone member's leaf.
+struct ChannelHw<'p> {
+    /// The channel's tree as the placement planned it: its members, and
+    /// the wiring of every mux.
+    plan: &'p ChannelPlan,
+    /// Every bus bundle of the channel, laid out as
+    /// [`ChannelPlan::bundles`] says; engines tick straight into the
+    /// leaves.
     bundles: Vec<AxiChannels>,
-    /// Every mux, level by level bottom-up; level `l` holds
-    /// `muxes[level_starts[l]..level_starts[l + 1]]`, and the last level
-    /// exactly one mux — the tree root.
+    /// One mux per [`ChannelPlan::muxes`] entry, in the same order.
     muxes: Vec<AxiMux>,
-    wiring: Vec<MuxWiring>,
-    level_starts: Vec<usize>,
     adapter: Adapter,
     /// Monitors on the leaf bundles (probed runs only), one per member.
     leaf_monitors: Vec<Monitor>,
@@ -1053,88 +1155,59 @@ struct ChannelHw {
     mux_ticks: u64,
 }
 
-impl ChannelHw {
+impl<'p> ChannelHw<'p> {
+    /// Builds channel `c`'s hardware exactly as `placement` planned it.
     fn new(
         sys: &SystemConfig,
-        fabric: &FabricSpec,
-        members: Vec<usize>,
+        placement: &'p Placement,
+        c: usize,
         storage: Storage,
         probed: bool,
     ) -> Self {
-        // The DRC rejects arities outside 2..=MAX_FAN_IN before any run
-        // reaches this point; the clamp keeps construction panic-free.
-        let arity = fabric.arity.clamp(2, MAX_FAN_IN);
-        let level_bits = fabric.level_bits();
-        let leaves = members.len();
-        let mut bundles: Vec<AxiChannels> = (0..leaves).map(|_| AxiChannels::new()).collect();
-        let mut muxes: Vec<AxiMux> = Vec::new();
-        let mut wiring: Vec<MuxWiring> = Vec::new();
-        let mut level_starts = vec![0];
-        // The current level's ports are `bundles[first..first + width]`.
-        let (mut first, mut width, mut shift) = (0, leaves, LOCAL_ID_BITS);
-        while width > 1 {
-            let links = bundles.len();
-            for k in 0..width.div_ceil(arity) {
-                let lo = first + k * arity;
-                let hi = (lo + arity).min(first + width);
-                muxes.push(AxiMux::cascade(hi - lo, shift));
-                wiring.push(MuxWiring {
-                    lo,
-                    hi,
-                    down: bundles.len(),
-                });
-                bundles.push(AxiChannels::new());
-            }
-            level_starts.push(muxes.len());
-            (first, width) = (links, bundles.len() - links);
-            shift += level_bits;
-        }
-        let mut adapter = Adapter::new(sys.ctrl_for(fabric), storage);
+        let plan = &placement.trees[c];
+        let mut muxes: Vec<AxiMux> = plan
+            .muxes
+            .iter()
+            .map(|w| AxiMux::cascade(w.hi - w.lo, w.shift))
+            .collect();
+        let mut adapter = Adapter::new(sys.ctrl_for(&placement.fabric), storage);
         if let Some(spec) = sys.fault.as_ref() {
             adapter.install_faults(spec);
             for mux in muxes.iter_mut() {
                 mux.install_faults(spec);
             }
         }
+        // Each leaf carries its engine's ID width; below the root every
+        // level's prefix has been stacked on.
         let leaf_monitors: Vec<Monitor> = if probed {
-            let id_bits = if leaves > 1 { LOCAL_ID_BITS } else { 8 };
-            members
+            plan.members
                 .iter()
-                .map(|_| Monitor::with_id_bits(sys.bus(), id_bits))
+                .map(|&i| Monitor::with_id_bits(sys.bus(), placement.id_bits[i]))
                 .collect()
         } else {
             Vec::new()
         };
-        // Below the root every level's prefix has been stacked on, so
-        // the root link carries the channel's full ID width.
         let root_monitor = (probed && !muxes.is_empty())
-            .then(|| Monitor::with_id_bits(sys.bus(), shift.min(ID_BITS)));
+            .then(|| Monitor::with_id_bits(sys.bus(), placement.id_bits_at(plan.depth())));
+        let bundles = plan.bundles();
         ChannelHw {
-            members,
-            touched: Vec::with_capacity(bundles.len()),
-            is_touched: vec![false; bundles.len()],
-            leaf_ended_at: vec![0; leaves],
-            bundles,
+            plan,
+            bundles: (0..bundles).map(|_| AxiChannels::new()).collect(),
             muxes,
-            wiring,
-            level_starts,
             adapter,
             leaf_monitors,
             root_monitor,
+            touched: Vec::with_capacity(bundles),
+            is_touched: vec![false; bundles],
+            leaf_ended_at: vec![0; plan.members.len()],
             stage_visits: 0,
             mux_ticks: 0,
         }
     }
 
-    /// Mux levels of the tree (0 for a lone member or an all-IDEAL
-    /// channel).
-    fn depth(&self) -> usize {
-        self.level_starts.len() - 1
-    }
-
     /// The muxes of level `l`, bottom-up.
     fn level(&self, l: usize) -> &[AxiMux] {
-        &self.muxes[self.level_starts[l]..self.level_starts[l + 1]]
+        &self.muxes[self.plan.level(l)]
     }
 
     // simcheck: hot-path begin -- the channel's per-cycle mux ticks and
@@ -1157,13 +1230,13 @@ impl ChannelHw {
     /// directions.
     #[inline]
     fn tick(&mut self, event: bool) {
-        if self.members.is_empty() {
+        let plan = self.plan;
+        if plan.members.is_empty() {
             // An all-IDEAL channel has no bus hardware to tick; its
             // adapter merely owns the storage.
             return;
         }
-        for m in 0..self.muxes.len() {
-            let MuxWiring { lo, hi, down } = self.wiring[m];
+        for (m, &MuxWiring { lo, hi, down, .. }) in plan.muxes.iter().enumerate() {
             let (ports, upper) = self.bundles.split_at_mut(down);
             let (ports, down_link) = (&mut ports[lo..hi], &mut upper[0]);
             if event && self.muxes[m].idle(ports, down_link) {
@@ -1213,7 +1286,7 @@ impl ChannelHw {
     fn end_bundle(&mut self, b: usize, next: u64) {
         let root = b + 1 == self.bundles.len();
         let ch = &mut self.bundles[b];
-        if b < self.members.len() {
+        if b < self.plan.members.len() {
             self.leaf_ended_at[b] = next;
             match self.leaf_monitors.get_mut(b) {
                 Some(mon) => ch.end_cycle_observed(mon),
@@ -1234,7 +1307,7 @@ impl ChannelHw {
     /// drained.
     #[inline]
     fn drained(&self) -> bool {
-        self.members.is_empty()
+        self.plan.members.is_empty()
             || (self.adapter.quiescent()
                 && self.muxes.iter().all(AxiMux::quiescent)
                 && self.bundles.iter().all(AxiChannels::is_empty))
@@ -1245,13 +1318,14 @@ impl ChannelHw {
     /// Appends this channel's component snapshots for hang forensics, in
     /// dependency order (leaves, then levels bottom-up, then adapter).
     fn hang_components(&self, c: usize, out: &mut Vec<HangComponent>) {
-        for (j, &member) in self.members.iter().enumerate() {
+        let plan = self.plan;
+        for (j, &member) in plan.members.iter().enumerate() {
             out.push(channels_component(
                 &format!("ch{c} requestor {member} leaf channels"),
                 &self.bundles[j],
             ));
         }
-        for l in 0..self.depth() {
+        for l in 0..plan.depth() {
             for (k, mux) in self.level(l).iter().enumerate() {
                 out.push(HangComponent {
                     name: format!("ch{c} level {l} mux {k}"),
@@ -1259,15 +1333,14 @@ impl ChannelHw {
                     busy: !mux.quiescent() || mux.storm_active(),
                 });
             }
-            let row = &self.wiring[self.level_starts[l]..self.level_starts[l + 1]];
-            for (k, w) in row.iter().enumerate() {
+            for (k, w) in plan.muxes[plan.level(l)].iter().enumerate() {
                 out.push(channels_component(
                     &format!("ch{c} level {l} link {k}"),
                     &self.bundles[w.down],
                 ));
             }
         }
-        if !self.members.is_empty() {
+        if !plan.members.is_empty() {
             out.push(HangComponent {
                 name: format!("ch{c} adapter"),
                 state: self.adapter.describe_state(),
@@ -1309,14 +1382,10 @@ fn replay_parked(engine: &mut Engine, since: u64, cycles: u64) -> u64 {
 /// while the run as a whole continues until every channel has drained.
 fn run_fabric(
     sys: &SystemConfig,
-    fabric: &FabricSpec,
     reqs: &[(SystemKind, &Kernel)],
+    placement: &Placement,
     probe: Option<&mut RunProbe>,
 ) -> Result<SystemReport, RunError> {
-    let placement = Placement::new(
-        reqs.iter().map(|(_, k)| k.storage_size as u64).collect(),
-        fabric.channels,
-    );
     // Window relocation is zero-copy: requestor 0's window starts at 0,
     // so its kernel is used as is, and `rebased` shares image payloads
     // and reference data via `Arc` for the others.
@@ -1329,22 +1398,7 @@ fn run_fabric(
         })
         .collect();
     let kinds: Vec<SystemKind> = reqs.iter().map(|&(kind, _)| kind).collect();
-    let nch = fabric.channels.max(1);
-    // Channel membership: requestor i lives on channel `channel_of[i]`;
-    // bus-attached ones additionally occupy a leaf port of that
-    // channel's mux tree, in requestor order.
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); nch];
-    // (channel, leaf port) of every bus-attached engine.
-    let mut slots: Vec<Option<(usize, usize)>> = Vec::with_capacity(kinds.len());
-    for (i, &kind) in kinds.iter().enumerate() {
-        let c = placement.channel_of[i];
-        if kind == SystemKind::Ideal {
-            slots.push(None);
-        } else {
-            slots.push(Some((c, members[c].len())));
-            members[c].push(i);
-        }
-    }
+    let nch = placement.trees.len();
     let probed = probe.is_some();
     let mut storages: Vec<Storage> = (0..nch)
         .map(|_| Storage::new(placement.storage_bytes))
@@ -1352,23 +1406,20 @@ fn run_fabric(
     for (i, k) in kernels.iter().enumerate() {
         k.apply_image(&mut storages[placement.channel_of[i]]);
     }
-    let mut channels_hw: Vec<ChannelHw> = members
+    let mut channels_hw: Vec<ChannelHw> = storages
         .into_iter()
-        .zip(storages)
-        .map(|(m, s)| ChannelHw::new(sys, fabric, m, s, probed))
+        .enumerate()
+        .map(|(c, s)| ChannelHw::new(sys, placement, c, s, probed))
         .collect();
     let mut engines: Vec<Engine> = kernels
         .iter()
+        .zip(&placement.id_bits)
         .enumerate()
-        .map(|(i, k)| {
-            let mut vcfg = sys.vproc;
-            if let Some((c, _)) = slots[i] {
-                if channels_hw[c].members.len() > 1 {
-                    // Behind a mux tree, local IDs must leave room for
-                    // the stacked level prefixes.
-                    vcfg.axi_id_bits = LOCAL_ID_BITS;
-                }
-            }
+        .map(|(i, (k, &axi_id_bits))| {
+            let vcfg = VprocConfig {
+                axi_id_bits,
+                ..sys.vproc
+            };
             Engine::new(vcfg, kinds[i], sys.bus(), k.program.clone())
         })
         .collect();
@@ -1422,7 +1473,7 @@ fn run_fabric(
                     }
                 }
                 for hw in channels_hw.iter_mut() {
-                    if !hw.members.is_empty() {
+                    if !hw.plan.members.is_empty() {
                         hw.adapter.skip_idle(span);
                     }
                 }
@@ -1439,7 +1490,7 @@ fn run_fabric(
             if done_at[i].is_some() {
                 continue;
             }
-            match slots[i] {
+            match placement.slots[i] {
                 Some((c, j)) => {
                     let hw = &mut channels_hw[c];
                     if event {
@@ -1537,12 +1588,11 @@ fn run_fabric(
     }
     // Per-level occupancy, aggregated across channels (level 0 is the
     // leaf level of every channel's tree).
-    let depth = channels_hw.iter().map(ChannelHw::depth).max().unwrap_or(0);
-    let levels: Vec<LevelOccupancy> = (0..depth)
+    let levels: Vec<LevelOccupancy> = (0..placement.depth())
         .map(|l| {
             let mut muxes = 0u32;
             let (mut ar_beats, mut r_beats) = (0u64, 0u64);
-            for hw in channels_hw.iter().filter(|hw| l < hw.depth()) {
+            for hw in channels_hw.iter().filter(|hw| l < hw.plan.depth()) {
                 let row = hw.level(l);
                 muxes += row.len() as u32;
                 ar_beats += row.iter().map(AxiMux::ar_forwarded).sum::<u64>();
@@ -1560,8 +1610,6 @@ fn run_fabric(
         .iter()
         .map(|hw| AdapterSnap::of(&hw.adapter))
         .collect();
-    let chan_members: Vec<usize> = channels_hw.iter().map(|hw| hw.members.len()).collect();
-    let chan_depth: Vec<usize> = channels_hw.iter().map(ChannelHw::depth).collect();
     // Consume the hardware: monitors out, per-channel storages out.
     let mut leaf_monitors: Vec<Monitor> = Vec::new();
     let mut root_monitors: Vec<Monitor> = Vec::new();
@@ -1597,21 +1645,6 @@ fn run_fabric(
         p.stage_visits = stage_visits;
         p.mux_ticks = mux_ticks;
     }
-    // Fabric endpoint ID of a leaf-port fault: each level of the path
-    // stacks its port prefix, exactly as the tree remaps on the way down.
-    let level_bits = fabric.level_bits();
-    let arity = fabric.arity.clamp(2, MAX_FAN_IN);
-    let endpoint_id = |c: usize, leaf: usize, local: u16| -> u16 {
-        let mut id = AxiId(local);
-        let mut port = leaf;
-        let mut shift = LOCAL_ID_BITS;
-        for _ in 0..chan_depth[c] {
-            id = AxiMux::prefix_id(shift, port % arity, id);
-            port /= arity;
-            shift += level_bits;
-        }
-        id.0
-    };
     let bus_bytes = sys.bus().data_bytes() as u64;
     let mut payload_bytes = 0u64;
     let mut reports = Vec::with_capacity(engines.len());
@@ -1624,14 +1657,10 @@ fn run_fabric(
         // for it), while healthy requestors still verify normally.
         match engine.first_fault() {
             Some(bf) => {
-                let axi_id = match slots[i] {
-                    Some((c, j)) => endpoint_id(c, j, bf.axi_id),
-                    None => bf.axi_id,
-                };
                 outcomes.push(RequestorOutcome::Faulted(fault_abort(
                     i,
                     bf,
-                    axi_id,
+                    placement.endpoint_id(i, bf.axi_id),
                     sys.fault.as_ref(),
                     &snaps[chan],
                 )));
@@ -1645,7 +1674,7 @@ fn run_fabric(
         if kinds[i] != SystemKind::Ideal {
             payload_bytes += stats.r_util.payload_bytes();
         }
-        let sole = slots[i].is_some() && chan_members[chan] == 1;
+        let sole = placement.slots[i].is_some() && placement.trees[chan].members.len() == 1;
         reports.push(build_report(
             &kernels[i],
             kinds[i],
@@ -1681,6 +1710,7 @@ fn run_fabric(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use axi_proto::ArBeat;
     use workloads::{gemv, ismt, spmv, CsrMatrix, Dataflow};
 
     #[test]
@@ -1844,7 +1874,7 @@ mod tests {
         let p = cfg.kernel_params();
         let topo = Topology::builder(&cfg)
             .requestors((0..4).map(|s| Requestor::new(SystemKind::Pack, ismt::build(16, s, &p))))
-            .channels(2)
+            .fabric(FabricSpec::flat().with_channels(2))
             .build()
             .expect("DRC-clean");
         let place = topo.placement();
@@ -1922,6 +1952,67 @@ mod tests {
     }
 
     #[test]
+    fn every_leaf_reaches_the_root_link_under_its_planned_endpoint_id() {
+        // Fault reports name a requestor by the plan's `endpoint_id`; the
+        // muxes built from the same plan must remap every leaf's AR to
+        // exactly that ID, one level per cycle, inside the width the
+        // root link's monitor checks.
+        let cfg = SystemConfig::paper(SystemKind::Pack);
+        let k = ismt::build(16, 1, &cfg.kernel_params());
+        for n in [1, 2, 3, 5, 9, 17, 40] {
+            // Every third requestor is IDEAL and takes no leaf port.
+            let reqs: Vec<(SystemKind, &Kernel)> = (0..n)
+                .map(|i| match i % 3 {
+                    2 => (SystemKind::Ideal, &k),
+                    _ => (SystemKind::Pack, &k),
+                })
+                .collect();
+            for arity in 2..=MAX_FAN_IN {
+                for channels in 1..=4 {
+                    let fabric = FabricSpec::tree(arity).with_channels(channels);
+                    let placement = Placement::new(&cfg, &fabric, &reqs);
+                    let point = format!("{n} requestors, arity {arity}, {channels} channels");
+                    for (c, tree) in placement.trees.iter().enumerate() {
+                        if tree.members.is_empty() {
+                            continue;
+                        }
+                        let storage = Storage::new(placement.storage_bytes);
+                        let mut hw = ChannelHw::new(&cfg, &placement, c, storage, true);
+                        let root = tree.bundles() - 1;
+                        for (leaf, &i) in tree.members.iter().enumerate() {
+                            let local = (leaf * 7 + 3) as u16 & ((1 << placement.id_bits[i]) - 1);
+                            let mut ar = ArBeat::incr(0, 0, 1, &cfg.bus());
+                            ar.id = AxiId(local);
+                            hw.bundles[leaf].ar.push(ar);
+                            let mut cycle = 0;
+                            let id = loop {
+                                if let Some(ar) = hw.bundles[root].ar.peek() {
+                                    break ar.id.0;
+                                }
+                                assert!(cycle <= tree.depth(), "{point}: leaf {leaf} stuck");
+                                hw.tick(false);
+                                cycle += 1;
+                                hw.end_cycle(false, cycle as u64);
+                            };
+                            hw.bundles[root].ar.pop();
+                            assert_eq!(cycle, tree.depth() + 1, "{point}: leaf {leaf}");
+                            assert_eq!(id, placement.endpoint_id(i, local), "{point}: leaf {leaf}");
+                            let width = match tree.depth() {
+                                0 => placement.id_bits[i],
+                                depth => placement.id_bits_at(depth),
+                            };
+                            assert_eq!(u32::from(id) >> width, 0, "{point}: leaf {leaf}");
+                        }
+                        for mon in hw.leaf_monitors.iter().chain(&hw.root_monitor) {
+                            assert_eq!(mon.violations(), &[], "{point}: channel {c}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn builder_surfaces_every_error_as_typed_diagnostics() {
         // The zero-panic guarantee: every malformed configuration comes
         // back as RunError::Drc naming the violated rule.
@@ -1946,7 +2037,7 @@ mod tests {
         // level's port budget. Both are manager-overflow diagnostics.
         for arity in [0, 1, MAX_FAN_IN + 1] {
             let err = two(Topology::builder(&cfg))
-                .arity(arity)
+                .fabric(FabricSpec::tree(arity))
                 .build()
                 .expect_err("bad arity rejected");
             assert!(
@@ -1956,7 +2047,7 @@ mod tests {
         }
         // Zero channels: nothing can route anywhere.
         let err = two(Topology::builder(&cfg))
-            .channels(0)
+            .fabric(FabricSpec::flat().with_channels(0))
             .build()
             .expect_err("zero channels rejected");
         assert!(rule_of(err).contains(&Rule::FabricRange));
@@ -1966,8 +2057,11 @@ mod tests {
         // agree on both.
         let one = || Topology::builder(&cfg).requestor(SystemKind::Pack, ismt::build(16, 1, &p));
         let cases = [
-            (one().channels(2), Rule::FabricRange),
-            (one().arity(1), Rule::ManagerOverflow),
+            (
+                one().fabric(FabricSpec::flat().with_channels(2)),
+                Rule::FabricRange,
+            ),
+            (one().fabric(FabricSpec::tree(1)), Rule::ManagerOverflow),
         ];
         for (builder, rule) in cases {
             let topo = Topology {

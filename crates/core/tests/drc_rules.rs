@@ -85,7 +85,7 @@ fn f1_zero_memory_channels_is_a_typed_error() {
     let cfg = pack_cfg();
     let err = Topology::builder(&cfg)
         .requestors(clones(&cfg, 2))
-        .channels(0)
+        .fabric(FabricSpec::flat().with_channels(0))
         .build()
         .expect_err("a fabric with no channels routes nothing");
     let report = err.drc_report().expect("typed DRC report");
@@ -102,7 +102,7 @@ fn f1_a_channel_no_window_interleaves_onto_is_a_typed_error() {
     let cfg = pack_cfg();
     let err = Topology::builder(&cfg)
         .requestors(clones(&cfg, 2))
-        .channels(3)
+        .fabric(FabricSpec::flat().with_channels(3))
         .build()
         .expect_err("a dead channel must be rejected");
     let report = err.drc_report().expect("typed DRC report");
