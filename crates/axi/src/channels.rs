@@ -100,6 +100,19 @@ impl AxiChannels {
         self.end_cycle();
     }
 
+    /// Returns `true` if any channel was pushed to or popped from this
+    /// cycle. Otherwise [`AxiChannels::end_cycle`] changes nothing, and a
+    /// run loop may skip it (see [`simkit::Fifo::handshook`]).
+    #[inline]
+    pub fn handshook(&self) -> bool {
+        // Five flag loads and no branch: `|` does not short-circuit.
+        self.ar.handshook()
+            | self.aw.handshook()
+            | self.w.handshook()
+            | self.r.handshook()
+            | self.b.handshook()
+    }
+
     /// Returns `true` when every channel is fully drained.
     pub fn is_empty(&self) -> bool {
         self.ar.is_empty()

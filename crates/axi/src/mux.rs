@@ -3,11 +3,12 @@
 //! The paper notes that AXI-Pack "in principle supports non-core requestors
 //! and systems with multiple requestors and endpoints" — packed bursts are
 //! ordinary AXI4 transactions, so any ID-remapping interconnect carries
-//! them untouched. [`AxiMux`] demonstrates that: it funnels up to four
-//! manager ports into one subordinate port by prefixing transaction IDs
-//! with the manager index (the standard AXI interconnect scheme), routes
-//! W beats in AW-acceptance order, and demultiplexes R/B responses by ID
-//! prefix. Packed bursts need no special handling whatsoever.
+//! them untouched. [`AxiMux`] demonstrates that: it funnels up to
+//! [`MAX_FAN_IN`] manager ports ([`MAX_MANAGERS`] on a flat mux) into one
+//! subordinate port by prefixing transaction IDs with the manager index
+//! (the standard AXI interconnect scheme), routes W beats in AW-acceptance
+//! order, and demultiplexes R/B responses by ID prefix. Packed bursts
+//! need no special handling whatsoever.
 //!
 //! # Arbitration policy
 //!
@@ -31,6 +32,17 @@
 //! It also counts, per manager, granted and lost AR arbitration rounds
 //! ([`AxiMux::ar_grants`] / [`AxiMux::ar_lost`]) — the mux-level view of
 //! bus contention that the per-engine stall counters complement.
+//!
+//! # Parking
+//!
+//! A tick that moves nothing changes no state but `ar_lost` (one lost
+//! round per manager showing an AR) and, with a fault plan armed, the
+//! storm schedules, which advance once per round with AR or AW demand.
+//! What a tick sees changes only when a register stage of one of the
+//! mux's bundles runs, so until then every round repeats the last one.
+//! An event-driven run loop may therefore skip those rounds and
+//! [`AxiMux::replay`] them in one call once such a stage runs;
+//! [`AxiMux::parkable`] says when that is exact.
 
 use simkit::fault::{site, FaultSpec, SiteSchedule};
 use simkit::RoundRobin;
@@ -69,6 +81,9 @@ struct MuxFaults {
     aw_storm_left: u32,
     storms: u64,
     stalled: u64,
+    /// Whether the last round had AR or AW demand, which advanced the
+    /// storm schedules: the next round would advance them again.
+    demand: bool,
 }
 
 /// An N-to-1 AXI(-Pack) multiplexer.
@@ -81,14 +96,28 @@ struct MuxFaults {
 /// # Examples
 ///
 /// ```
-/// use axi_proto::{AxiChannels, AxiMux};
+/// use axi_proto::{ArBeat, AxiChannels, AxiMux, BusConfig};
 ///
+/// let bus = BusConfig::new(256);
 /// let mut mux = AxiMux::new(2);
 /// let mut managers = vec![AxiChannels::new(), AxiChannels::new()];
 /// let mut downstream = AxiChannels::new();
-/// assert!(mux.idle(&managers, &downstream));
 /// assert!(!mux.tick(&mut managers, &mut downstream), "nothing to move");
 /// assert!(mux.quiescent());
+/// // Manager 1 requests while the downstream AR register is full.
+/// managers[1].ar.push(ArBeat::incr(0, 0x40, 1, &bus));
+/// managers[1].end_cycle();
+/// for _ in 0..2 {
+///     downstream.ar.push(ArBeat::incr(0, 0, 1, &bus));
+///     downstream.end_cycle();
+/// }
+/// assert!(!mux.tick(&mut managers, &mut downstream), "back-pressured");
+/// assert_eq!(mux.ar_lost(1), 1);
+/// // Until a register stage of one of its bundles runs, every round
+/// // repeats that one: skip nine and replay them in one call.
+/// assert!(mux.parkable());
+/// mux.replay(9);
+/// assert_eq!(mux.ar_lost(1), 10);
 /// ```
 #[derive(Debug)]
 pub struct AxiMux {
@@ -109,6 +138,9 @@ pub struct AxiMux {
     /// Cycles a manager had an AR ready but was not granted (downstream
     /// back-pressure or a lost arbitration round).
     ar_lost: Vec<u64>,
+    /// Managers whose AR lost the last round, one bit each: what every
+    /// round [`AxiMux::replay`] stands in for adds to `ar_lost`.
+    ar_losers: u8,
     /// R beats routed back upstream through this mux — the per-level
     /// occupancy measure the fabric reports aggregate.
     r_routed: u64,
@@ -165,6 +197,7 @@ impl AxiMux {
             writes_open: vec![0; n],
             ar_grants: vec![0; n],
             ar_lost: vec![0; n],
+            ar_losers: 0,
             r_routed: 0,
             faults: None,
         }
@@ -183,6 +216,7 @@ impl AxiMux {
             aw_storm_left: 0,
             storms: 0,
             stalled: 0,
+            demand: false,
         });
     }
 
@@ -227,25 +261,6 @@ impl AxiMux {
         Self::split_id(self.shift, id)
     }
 
-    /// Returns `true` when a [`AxiMux::tick`] against these ports would
-    /// move nothing and change no state: no manager port shows an AR or
-    /// AW request, the downstream port shows no R or B beat, and no W
-    /// burst is mid-route. An idle round rotates no arbiter and advances
-    /// neither [`AxiMux::ar_lost`] nor a storm schedule, so a run loop
-    /// may skip the tick.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `managers.len()` differs from the configured port count.
-    #[inline]
-    pub fn idle(&self, managers: &[AxiChannels], down: &AxiChannels) -> bool {
-        assert_eq!(managers.len(), self.n, "manager port count mismatch");
-        self.w_route.is_empty()
-            && !down.r.can_pop()
-            && !down.b.can_pop()
-            && managers.iter().all(|m| !m.ar.can_pop() && !m.aw.can_pop())
-    }
-
     /// One cycle of multiplexer work; returns whether any beat moved
     /// (a request granted, a W beat forwarded or a response routed).
     ///
@@ -265,7 +280,8 @@ impl AxiMux {
         let wants = &wants[..self.n];
         let mut ar_stormed = false;
         if let Some(f) = self.faults.as_mut() {
-            if wants.iter().any(|w| *w) {
+            f.demand = wants.iter().any(|w| *w);
+            if f.demand {
                 if f.ar_storm_left == 0 && f.ar.fires() {
                     f.ar_storm_left = f.storm_len;
                     f.storms += 1;
@@ -282,11 +298,14 @@ impl AxiMux {
         } else {
             None
         };
+        let mut losers = 0u8;
         for (p, want) in wants.iter().enumerate() {
             if *want && granted != Some(p) {
                 self.ar_lost[p] += 1;
+                losers |= 1 << p;
             }
         }
+        self.ar_losers = losers;
         if let Some(p) = granted {
             let mut ar = managers[p].ar.pop().expect("granted manager has AR");
             ar.id = self.upstream_id(p, ar.id);
@@ -303,7 +322,9 @@ impl AxiMux {
             }
             let mut aw_stormed = false;
             if let Some(f) = self.faults.as_mut() {
-                if wants[..self.n].iter().any(|w| *w) {
+                let demand = wants[..self.n].iter().any(|w| *w);
+                f.demand |= demand;
+                if demand {
                     if f.aw_storm_left == 0 && f.aw.fires() {
                         f.aw_storm_left = f.storm_len;
                         f.storms += 1;
@@ -371,6 +392,33 @@ impl AxiMux {
         moved
     }
 
+    /// After a [`AxiMux::tick`] that moved nothing: whether the following
+    /// rounds may be skipped and later replayed with [`AxiMux::replay`].
+    /// True unless a fault plan is armed and the round had AR or AW
+    /// demand — its storm schedules advance once per demand round.
+    #[inline]
+    pub fn parkable(&self) -> bool {
+        self.faults.as_ref().is_none_or(|f| !f.demand)
+    }
+
+    /// Replays `rounds` skipped rounds in one call: each would have
+    /// repeated the last tick, which moved nothing, so each manager that
+    /// lost that round loses `rounds` more.
+    ///
+    /// Valid only while the last tick moved nothing, left the mux
+    /// [`AxiMux::parkable`], and no register stage of the mux's port or
+    /// downstream bundles has run since: until then every round sees the
+    /// same ports.
+    #[inline]
+    pub fn replay(&mut self, rounds: u64) {
+        debug_assert!(self.parkable(), "replayed rounds would advance a storm");
+        let mut losers = self.ar_losers;
+        while losers != 0 {
+            self.ar_lost[losers.trailing_zeros() as usize] += rounds;
+            losers &= losers - 1;
+        }
+    }
+
     // simcheck: hot-path end
 
     /// Returns `true` when manager `p` has no outstanding traffic through
@@ -404,6 +452,12 @@ impl AxiMux {
     /// arbitration round or the subordinate back-pressured).
     pub fn ar_lost(&self, p: usize) -> u64 {
         self.ar_lost[p]
+    }
+
+    /// Rounds lost summed over all managers: the mux's AR grant waits
+    /// (see [`AxiMux::ar_lost`]).
+    pub fn ar_waits(&self) -> u64 {
+        self.ar_lost.iter().sum()
     }
 
     /// Total AR requests forwarded downstream across all managers.
@@ -622,50 +676,199 @@ mod tests {
         );
     }
 
+    /// Managers and a subordinate around one mux, driven by a seeded
+    /// pattern that depends only on the roll and on what the bundles
+    /// show, so two rigs in the same state stay in step.
+    struct Rig {
+        mgrs: Vec<AxiChannels>,
+        down: AxiChannels,
+        /// Requests the subordinate accepted and has yet to answer.
+        reads: VecDeque<AxiId>,
+        writes: VecDeque<AxiId>,
+    }
+
+    impl Rig {
+        fn new(n: usize) -> Self {
+            Rig {
+                mgrs: (0..n).map(|_| AxiChannels::new()).collect(),
+                down: AxiChannels::new(),
+                reads: VecDeque::new(),
+                writes: VecDeque::new(),
+            }
+        }
+
+        /// Managers post single-beat reads and writes and drain their
+        /// responses at random; the subordinate accepts requests rarely,
+        /// so the downstream AR register stays full for long stretches.
+        fn drive(&mut self, roll: u64, bus: &BusConfig) {
+            let bit = |k: u32| roll >> k & 1 == 1;
+            for (p, m) in self.mgrs.iter_mut().enumerate() {
+                let k = 8 * p as u32;
+                if bit(k) && bit(k + 1) && m.ar.can_push() {
+                    m.ar.push(ArBeat::incr(p as u8, 0x40 * p as u64, 1, bus));
+                }
+                if bit(k + 2) && bit(k + 3) && bit(k + 4) && m.aw.can_push() && m.w.can_push() {
+                    m.aw.push(ArBeat::incr(p as u8, 0x40 * p as u64, 1, bus));
+                    m.w.push(WBeat::full(vec![p as u8; 32], true));
+                }
+                if bit(k + 5) {
+                    m.r.pop();
+                }
+                if bit(k + 6) {
+                    m.b.pop();
+                }
+            }
+            if roll >> 40 & 7 == 0 {
+                if let Some(ar) = self.down.ar.pop() {
+                    self.reads.push_back(ar.id);
+                }
+            }
+            if bit(43) {
+                if let Some(aw) = self.down.aw.pop() {
+                    self.writes.push_back(aw.id);
+                }
+            }
+            if bit(44) {
+                self.down.w.pop();
+            }
+            if bit(45) && self.down.r.can_push() {
+                if let Some(id) = self.reads.pop_front() {
+                    self.down.r.push(RBeat {
+                        id,
+                        data: BeatBuf::zeroed(32),
+                        payload_bytes: 32,
+                        last: true,
+                        resp: Resp::Okay,
+                    });
+                }
+            }
+            if bit(46) && self.down.b.can_push() {
+                if let Some(id) = self.writes.pop_front() {
+                    self.down.b.push(BBeat {
+                        id,
+                        resp: Resp::Okay,
+                    });
+                }
+            }
+        }
+
+        /// Whether a register stage of one of the mux's bundles runs at
+        /// this cycle's boundary.
+        fn handshook(&self) -> bool {
+            self.down.handshook() || self.mgrs.iter().any(AxiChannels::handshook)
+        }
+
+        fn end_cycle(&mut self) {
+            for m in self.mgrs.iter_mut() {
+                m.end_cycle();
+            }
+            self.down.end_cycle();
+        }
+    }
+
     #[test]
-    fn an_idle_tick_moves_nothing_and_changes_no_state() {
-        // Storms armed to fire on every demand round: an idle tick must
-        // still not advance them, nor count a lost round or rotate the
-        // arbiter, so a run loop may skip it outright.
+    fn a_parked_mux_replays_exactly_the_rounds_it_skipped() {
+        // One mux ticks every cycle; its twin parks after each tick that
+        // moves nothing and replays the skipped rounds once a register
+        // stage of one of its bundles runs. After every wake the two must
+        // agree on every bit of state, lost rounds included.
         let bus = BusConfig::new(256);
-        let mut mux = AxiMux::new(3);
+        let (mut ticking, mut parking) = (AxiMux::new(3), AxiMux::new(3));
+        let (mut a, mut b) = (Rig::new(3), Rig::new(3));
+        let mut roll = 0x9e37_79b9_7f4a_7c15u64;
+        let mut parked_since: Option<u64> = None;
+        let (mut wakes, mut replayed_losses) = (0u64, 0u64);
+        let lost = |m: &AxiMux| (0..3).map(|p| m.ar_lost(p)).collect::<Vec<_>>();
+        for cycle in 0..2000u64 {
+            roll ^= roll << 13;
+            roll ^= roll >> 7;
+            roll ^= roll << 17;
+            a.drive(roll, &bus);
+            b.drive(roll, &bus);
+            ticking.tick(&mut a.mgrs, &mut a.down);
+            if parked_since.is_none()
+                && !parking.tick(&mut b.mgrs, &mut b.down)
+                && parking.parkable()
+            {
+                parked_since = Some(cycle + 1);
+            }
+            let wake = b.handshook();
+            a.end_cycle();
+            b.end_cycle();
+            if let Some(since) = parked_since.filter(|_| wake) {
+                let before: u64 = lost(&parking).iter().sum();
+                parking.replay(cycle + 1 - since);
+                replayed_losses += lost(&parking).iter().sum::<u64>() - before;
+                parked_since = None;
+                wakes += 1;
+                assert_eq!(lost(&parking), lost(&ticking), "cycle {cycle}: ar_lost");
+                assert_eq!(
+                    format!("{parking:?}"),
+                    format!("{ticking:?}"),
+                    "cycle {cycle}: mux state"
+                );
+            }
+        }
+        assert!(wakes > 100, "the pattern must park the mux often: {wakes}");
+        assert!(
+            replayed_losses > 100,
+            "few blocked rounds replayed: {replayed_losses}"
+        );
+        assert!(
+            ticking.ar_forwarded() > 50,
+            "the pattern must move requests"
+        );
+
+        // Storms armed to fire on every demand round: an idle round
+        // advances none, so the mux may park it and replay any number.
         let mut spec = simkit::fault::FaultSpec::silent(5);
         spec.grant_storm_period = 1;
         spec.grant_storm_len = 1;
-        mux.install_faults(&spec);
-        let mut mgrs: Vec<AxiChannels> = (0..3).map(|_| AxiChannels::new()).collect();
-        let mut down = AxiChannels::new();
-        for _ in 0..8 {
-            assert!(mux.idle(&mgrs, &down));
-            assert!(!mux.tick(&mut mgrs, &mut down), "an idle tick moved a beat");
-            down.end_cycle();
-        }
-        for p in 0..3 {
-            assert_eq!((mux.ar_grants(p), mux.ar_lost(p)), (0, 0), "manager {p}");
-        }
-        assert_eq!((mux.grant_storms(), mux.storm_stalls()), (0, 0));
-        assert!(!mux.storm_active());
-        // A staged request is not traffic yet; a visible one is, and
-        // stays so while the downstream AR register is full.
-        for (p, m) in mgrs.iter_mut().enumerate() {
-            m.ar.push(ArBeat::incr(p as u8, 0x40 * p as u64, 1, &bus));
-        }
-        assert!(mux.idle(&mgrs, &down), "staged beats are not visible");
-        for _ in 0..2 {
-            down.ar.push(ArBeat::incr(0, 0, 1, &bus));
-            down.end_cycle();
-        }
-        for m in mgrs.iter_mut() {
-            m.end_cycle();
-        }
-        assert!(!mux.idle(&mgrs, &down), "visible requests are traffic");
+        let (mut stormy, mut plain) = (AxiMux::new(3), AxiMux::new(3));
+        stormy.install_faults(&spec);
+        let mut rig = Rig::new(3);
         assert!(
-            !mux.tick(&mut mgrs, &mut down),
-            "back-pressured: nothing moves"
+            !stormy.tick(&mut rig.mgrs, &mut rig.down),
+            "an idle tick moved a beat"
         );
-        for p in 0..3 {
-            assert_eq!(mux.ar_lost(p), 1, "a blocked round still counts");
+        assert!(stormy.parkable(), "an idle round advances no storm");
+        stormy.replay(1000);
+        assert_eq!((stormy.grant_storms(), stormy.storm_stalls()), (0, 0));
+        assert!(!stormy.storm_active());
+        assert_eq!((stormy.ar_forwarded(), stormy.ar_waits()), (0, 0));
+        // A visible request is demand, even while back-pressured: its
+        // round advances the storm schedule, so the armed mux must tick
+        // it; an unarmed mux parks the same round.
+        for (port, aw) in [(1, false), (2, true)] {
+            let mut rig = Rig::new(3);
+            let beat = ArBeat::incr(port as u8, 0x40, 1, &bus);
+            if aw {
+                rig.mgrs[port].aw.push(beat);
+                rig.down.aw.push(ArBeat::incr(0, 0, 1, &bus));
+                rig.down.end_cycle();
+                rig.down.aw.push(ArBeat::incr(0, 0, 1, &bus));
+            } else {
+                rig.mgrs[port].ar.push(beat);
+                rig.down.ar.push(ArBeat::incr(0, 0, 1, &bus));
+                rig.down.end_cycle();
+                rig.down.ar.push(ArBeat::incr(0, 0, 1, &bus));
+            }
+            rig.end_cycle();
+            assert!(!plain.tick(&mut rig.mgrs, &mut rig.down), "back-pressured");
+            assert!(plain.parkable(), "port {port}: unarmed mux must park");
+            for _ in 0..4 {
+                assert!(!stormy.tick(&mut rig.mgrs, &mut rig.down), "back-pressured");
+                assert!(
+                    !stormy.parkable(),
+                    "port {port}: armed mux parked a demand round"
+                );
+            }
         }
+        assert!(
+            stormy.grant_storms() > 0,
+            "demand rounds advance the storms"
+        );
+        assert_eq!(plain.ar_lost(1), 1, "a blocked round still counts");
     }
 
     #[test]

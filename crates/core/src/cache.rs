@@ -72,8 +72,9 @@ pub const KEY_VERSION: u32 = 2;
 /// changes; stale blobs fail decoding and are recomputed in place.
 /// (v2: [`RunReport`] gained `injected_faults`/`fault_retries`;
 /// v3: [`SystemReport`] gained per-level fabric occupancy;
-/// v4: [`SystemReport`] gained fault totals over every channel.)
-pub const VALUE_VERSION: u32 = 4;
+/// v4: [`SystemReport`] gained fault totals over every channel;
+/// v5: each fabric level gained its AR grant waits.)
+pub const VALUE_VERSION: u32 = 5;
 
 /// Environment variable naming the default cache directory.
 pub const ENV_CACHE_DIR: &str = "AXI_PACK_CACHE";
@@ -517,6 +518,7 @@ pub fn encode_system_report(rep: &SystemReport) -> Vec<u8> {
         w.u32(l.muxes);
         w.u64(l.ar_beats);
         w.u64(l.r_beats);
+        w.u64(l.ar_waits);
     }
     w.buf
 }
@@ -559,6 +561,7 @@ pub fn decode_system_report(buf: &[u8]) -> Option<SystemReport> {
             muxes: r.u32()?,
             ar_beats: r.u64()?,
             r_beats: r.u64()?,
+            ar_waits: r.u64()?,
         });
     }
     if !r.done() {
@@ -1059,6 +1062,7 @@ mod tests {
                 muxes: 3,
                 ar_beats: 17,
                 r_beats: 170,
+                ar_waits: 23,
             }],
         };
         let blob = encode_system_report(&sys);

@@ -108,11 +108,13 @@ pub struct RunProbe {
     pub parked_ticks: u64,
     /// Bus bundles whose cycle-boundary register stage ran. Lockstep ends
     /// every bundle every ticked cycle (cycles × bundles); event mode ends
-    /// only the bundles something pushed to or popped from.
+    /// only the bundles an engine, mux or adapter pushed to or popped
+    /// from that cycle.
     pub stage_visits: u64,
     /// Mux ticks executed. Lockstep ticks every mux every ticked cycle
-    /// (cycles × muxes); event mode skips a mux with no visible request
-    /// or response and no W burst mid-route.
+    /// (cycles × muxes); event mode parks a mux whose tick moved nothing
+    /// until the register stage of one of its port or down-link bundles
+    /// runs, then replays the skipped rounds' lost AR grants in one call.
     pub mux_ticks: u64,
 }
 

@@ -129,6 +129,10 @@ pub struct LevelOccupancy {
     pub ar_beats: u64,
     /// R beats routed back upstream through this level.
     pub r_beats: u64,
+    /// AR grant waits at this level: per mux and manager, the cycles an
+    /// AR request was visible but not granted (a lost arbitration round
+    /// or a full downstream AR register), summed.
+    pub ar_waits: u64,
 }
 
 /// The outcome of one system run: per-requestor reports plus the
@@ -287,6 +291,7 @@ mod tests {
                 muxes: 1,
                 ar_beats: 5,
                 r_beats: 9,
+                ar_waits: 2,
             }],
         };
         assert_eq!(sys.slowest().kernel, "b");

@@ -1118,12 +1118,14 @@ fn run_planned(
 /// single bus-attached member has no mux level: its leaf bundle is the
 /// adapter's link.
 ///
-/// In event mode a cycle costs what moves: the register stage ends only
-/// the bundles something pushed to or popped from, and a mux is ticked
-/// only while a request or response is visible on its ports or a W burst
-/// is mid-route. Both skips are exact — an untouched [`simkit::Fifo`] has
-/// nothing staged and an unchanged occupancy, monitors observe only
-/// staged beats, and an idle mux tick changes no state. Lockstep ends
+/// In event mode a cycle costs what moves. The register stage ends only
+/// the bundles a party handshook on ([`AxiChannels::handshook`]): without
+/// a push or pop a [`simkit::Fifo`] has nothing staged and an unchanged
+/// occupancy, and monitors observe only staged beats. A mux whose tick
+/// moved nothing parks until the register stage of one of its port or
+/// down-link bundles runs — until then every round repeats the parked
+/// one — and [`AxiMux::replay`]s the skipped rounds when it wakes. The
+/// same stage of a leaf wakes the engine parked on it. Lockstep ends
 /// every bundle and ticks every mux.
 struct ChannelHw<'p> {
     /// The channel's tree as the placement planned it: its members, and
@@ -1141,14 +1143,16 @@ struct ChannelHw<'p> {
     /// Monitor on the root link below the tree — probed runs with two or
     /// more members only; a single member's leaf *is* the root link.
     root_monitor: Option<Monitor>,
-    /// Bundles pushed to or popped from this cycle (event mode), each
-    /// listed once (`is_touched` dedupes); sized for every bundle up
-    /// front.
+    /// Bundles handshook on this cycle (event mode), each listed once
+    /// (`is_touched` dedupes).
     touched: Vec<usize>,
     is_touched: Vec<bool>,
-    /// Per leaf: the cycle its register stage last ran into. Only that
-    /// stage can change what a parked engine sees on its leaf.
-    leaf_ended_at: Vec<u64>,
+    /// Per bundle: the mux it is a manager port of; `None` for the
+    /// adapter's link. (Mux `m`'s down-link is bundle `members + m`.)
+    port_of: Vec<Option<usize>>,
+    /// Per mux: while parked (event mode), the cycle of its first
+    /// skipped round.
+    parked: Vec<Option<u64>>,
     /// Bundle register stages run, for [`RunProbe::stage_visits`].
     stage_visits: u64,
     /// Mux ticks run, for [`RunProbe::mux_ticks`].
@@ -1190,16 +1194,21 @@ impl<'p> ChannelHw<'p> {
         let root_monitor = (probed && !muxes.is_empty())
             .then(|| Monitor::with_id_bits(sys.bus(), placement.id_bits_at(plan.depth())));
         let bundles = plan.bundles();
+        let mut port_of = vec![None; bundles];
+        for (m, w) in plan.muxes.iter().enumerate() {
+            port_of[w.lo..w.hi].fill(Some(m));
+        }
         ChannelHw {
             plan,
             bundles: (0..bundles).map(|_| AxiChannels::new()).collect(),
+            parked: vec![None; muxes.len()],
             muxes,
             adapter,
             leaf_monitors,
             root_monitor,
             touched: Vec::with_capacity(bundles),
             is_touched: vec![false; bundles],
-            leaf_ended_at: vec![0; plan.members.len()],
+            port_of,
             stage_visits: 0,
             mux_ticks: 0,
         }
@@ -1211,25 +1220,25 @@ impl<'p> ChannelHw<'p> {
     }
 
     // simcheck: hot-path begin -- the channel's per-cycle mux ticks and
-    // register stage; the touched list and the per-bundle and per-leaf
-    // flags are sized for every bundle at construction.
+    // register stage; the touched list and the per-bundle and per-mux
+    // slots are sized for every bundle and mux at construction.
 
-    /// Records that something pushed to or popped from bundle `b` this
-    /// cycle, so the register stage must run for it.
+    /// Lists bundle `b` for this cycle's register stage if a party
+    /// pushed to or popped from it.
     #[inline]
-    fn touch(&mut self, b: usize) {
-        if !self.is_touched[b] {
+    fn touch_if_handshook(&mut self, b: usize) {
+        if !self.is_touched[b] && self.bundles[b].handshook() {
             self.is_touched[b] = true;
             self.touched.push(b);
         }
     }
 
-    /// One cycle: each mux level bottom-up, then the adapter on its link.
-    /// The FIFO register stages make every hop visible only at the cycle
-    /// boundary, so each level adds one cycle of honest latency in both
-    /// directions.
+    /// Cycle `cycle`: each unparked mux, level by level bottom-up, then
+    /// the adapter on its link. The FIFO register stages make every hop
+    /// visible only at the cycle boundary, so each level adds one cycle
+    /// of honest latency in both directions.
     #[inline]
-    fn tick(&mut self, event: bool) {
+    fn tick(&mut self, event: bool, cycle: u64) {
         let plan = self.plan;
         if plan.members.is_empty() {
             // An all-IDEAL channel has no bus hardware to tick; its
@@ -1237,35 +1246,38 @@ impl<'p> ChannelHw<'p> {
             return;
         }
         for (m, &MuxWiring { lo, hi, down, .. }) in plan.muxes.iter().enumerate() {
-            let (ports, upper) = self.bundles.split_at_mut(down);
-            let (ports, down_link) = (&mut ports[lo..hi], &mut upper[0]);
-            if event && self.muxes[m].idle(ports, down_link) {
+            if self.parked[m].is_some() {
                 continue;
             }
+            let (ports, upper) = self.bundles.split_at_mut(down);
             self.mux_ticks += 1;
-            if self.muxes[m].tick(ports, down_link) {
+            if self.muxes[m].tick(&mut ports[lo..hi], &mut upper[0]) {
                 for b in lo..hi {
-                    self.touch(b);
+                    self.touch_if_handshook(b);
                 }
-                self.touch(down);
+                self.touch_if_handshook(down);
+            } else if event && self.muxes[m].parkable() {
+                self.parked[m] = Some(cycle + 1);
             }
         }
         let link = self.bundles.len() - 1;
         self.adapter.tick(&mut self.bundles[link]);
-        self.touch(link);
+        self.touch_if_handshook(link);
         self.adapter.end_cycle();
     }
 
     /// Cycle-boundary register stage into cycle `next`, feeding the probe
     /// monitors where attached: every bundle in lockstep, only the
-    /// touched ones in event mode.
+    /// touched ones in event mode. Each stage that runs wakes the muxes
+    /// on both sides of its bundle and, on a leaf, puts the leaf's
+    /// engine in `visit`.
     #[inline]
-    fn end_cycle(&mut self, event: bool, next: u64) {
+    fn end_cycle(&mut self, event: bool, next: u64, visit: &mut Visits) {
         if event {
             for k in 0..self.touched.len() {
                 let b = self.touched[k];
                 self.is_touched[b] = false;
-                self.end_bundle(b, next);
+                self.end_bundle(b, next, visit);
             }
             self.stage_visits += self.touched.len() as u64;
         } else {
@@ -1273,7 +1285,7 @@ impl<'p> ChannelHw<'p> {
                 self.is_touched[b] = false;
             }
             for b in 0..self.bundles.len() {
-                self.end_bundle(b, next);
+                self.end_bundle(b, next, visit);
             }
             self.stage_visits += self.bundles.len() as u64;
         }
@@ -1281,22 +1293,37 @@ impl<'p> ChannelHw<'p> {
     }
 
     /// Ends bundle `b`'s register stage, through the monitor watching it
-    /// if there is one.
+    /// if there is one, and wakes whoever reads the bundle.
     #[inline]
-    fn end_bundle(&mut self, b: usize, next: u64) {
+    fn end_bundle(&mut self, b: usize, next: u64, visit: &mut Visits) {
+        let members = self.plan.members.len();
+        if let Some(m) = self.port_of[b] {
+            self.wake_mux(m, next);
+        }
+        if b < members {
+            visit.insert(self.plan.members[b]);
+        } else {
+            self.wake_mux(b - members, next);
+        }
         let root = b + 1 == self.bundles.len();
         let ch = &mut self.bundles[b];
-        if b < self.plan.members.len() {
-            self.leaf_ended_at[b] = next;
-            match self.leaf_monitors.get_mut(b) {
-                Some(mon) => ch.end_cycle_observed(mon),
-                None => ch.end_cycle(),
-            }
+        let mon = if b < members {
+            self.leaf_monitors.get_mut(b)
         } else {
-            match self.root_monitor.as_mut() {
-                Some(mon) if root => ch.end_cycle_observed(mon),
-                _ => ch.end_cycle(),
-            }
+            self.root_monitor.as_mut().filter(|_| root)
+        };
+        match mon {
+            Some(mon) => ch.end_cycle_observed(mon),
+            None => ch.end_cycle(),
+        }
+    }
+
+    /// Unparks mux `m`, if parked, replaying its skipped rounds up to
+    /// cycle `next`, the one it ticks in again.
+    #[inline]
+    fn wake_mux(&mut self, m: usize, next: u64) {
+        if let Some(since) = self.parked[m].take() {
+            self.muxes[m].replay(next - since);
         }
     }
 
@@ -1314,6 +1341,14 @@ impl<'p> ChannelHw<'p> {
     }
 
     // simcheck: hot-path end
+
+    /// Wakes every parked mux at cycle `now`, so its counters read as if
+    /// it had ticked through every cycle before `now`.
+    fn wake_muxes(&mut self, now: u64) {
+        for m in 0..self.muxes.len() {
+            self.wake_mux(m, now);
+        }
+    }
 
     /// Appends this channel's component snapshots for hang forensics, in
     /// dependency order (leaves, then levels bottom-up, then adapter).
@@ -1369,6 +1404,37 @@ fn replay_parked(engine: &mut Engine, since: u64, cycles: u64) -> u64 {
     let span = cycles - since;
     engine.fast_forward(span);
     span
+}
+
+/// The requestors the run loop visits in a cycle, one bit each, walked in
+/// requestor order: every live engine that is not parked, plus each
+/// parked one whose leaf's register stage just ran. Sized for every
+/// requestor up front.
+struct Visits(Vec<u64>);
+
+impl Visits {
+    /// Every one of `n` requestors.
+    fn all(n: usize) -> Self {
+        let mut visits = Visits(vec![0; n.div_ceil(64)]);
+        for i in 0..n {
+            visits.insert(i);
+        }
+        visits
+    }
+
+    // simcheck: hot-path begin -- set and clear one bit.
+
+    #[inline]
+    fn insert(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    #[inline]
+    fn remove(&mut self, i: usize) {
+        self.0[i / 64] &= !(1 << (i % 64));
+    }
+
+    // simcheck: hot-path end
 }
 
 /// The run loop — the only code that advances simulated time. Engines
@@ -1432,10 +1498,12 @@ fn run_fabric(
     let event = sys.sched == SchedMode::Event;
     // Event mode parks a bus-attached engine whose leaf-aware wake is
     // `Idle`, stamped with the cycle of its first skipped tick: it is not
-    // ticked until its leaf shows input, and `fast_forward` then replays
-    // the skipped ticks before anything reads its state.
+    // visited again until its leaf's register stage runs and the leaf
+    // shows input, and `fast_forward` then replays the skipped ticks
+    // before anything reads its state.
     let mut parked: Vec<Option<u64>> = vec![None; engines.len()];
     let mut parked_ticks = 0u64;
+    let mut visit = Visits::all(engines.len());
     while live > 0 || !channels_hw.iter().all(ChannelHw::drained) {
         // Event mode's skip gate: every channel drained. Then no beat can
         // reach any engine without some engine acting first, so the live
@@ -1447,9 +1515,10 @@ fn run_fabric(
         if event && channels_hw.iter().all(ChannelHw::drained) {
             // Parked engines rejoin first, so the merge below sees every
             // live engine exactly as lockstep would.
-            for (engine, slot) in engines.iter_mut().zip(&mut parked) {
+            for (i, (engine, slot)) in engines.iter_mut().zip(&mut parked).enumerate() {
                 if let Some(since) = slot.take() {
                     parked_ticks += replay_parked(engine, since, cycles);
+                    visit.insert(i);
                 }
             }
             let mut wake = Wake::Idle;
@@ -1483,55 +1552,64 @@ fn run_fabric(
                 continue;
             }
         }
-        for (i, engine) in engines.iter_mut().enumerate() {
-            // A finished requestor contributes nothing to any channel;
-            // not ticking it freezes its stats (cycles, utilization
-            // denominators) at its own completion cycle.
-            if done_at[i].is_some() {
-                continue;
-            }
-            match placement.slots[i] {
-                Some((c, j)) => {
-                    let hw = &mut channels_hw[c];
-                    if event {
-                        // A parked engine's state is frozen, and only its
-                        // leaf's register stage can change what it sees
-                        // there: look again only after that stage ran.
-                        match parked[i] {
-                            Some(since) => {
-                                if hw.leaf_ended_at[j] != cycles
-                                    || !engine.leaf_wakes(&hw.bundles[j])
-                                {
+        for w in 0..visit.0.len() {
+            let mut bits = visit.0[w];
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                // A finished requestor contributes nothing to any channel;
+                // not ticking it freezes its stats (cycles, utilization
+                // denominators) at its own completion cycle. (Its last
+                // handshake may still have put it here.)
+                if done_at[i].is_some() {
+                    visit.remove(i);
+                    continue;
+                }
+                let engine = &mut engines[i];
+                match placement.slots[i] {
+                    Some((c, j)) => {
+                        let hw = &mut channels_hw[c];
+                        if event {
+                            // A parked engine's state is frozen, and only
+                            // its leaf's register stage, which put it
+                            // here, can change what it sees there.
+                            match parked[i] {
+                                Some(since) => {
+                                    if !engine.leaf_wakes(&hw.bundles[j]) {
+                                        visit.remove(i);
+                                        continue;
+                                    }
+                                    parked_ticks += replay_parked(engine, since, cycles);
+                                    parked[i] = None;
+                                }
+                                None if engine.next_wake_on(&hw.bundles[j]) == Wake::Idle => {
+                                    parked[i] = Some(cycles);
+                                    visit.remove(i);
                                     continue;
                                 }
-                                parked_ticks += replay_parked(engine, since, cycles);
-                                parked[i] = None;
+                                None => {}
                             }
-                            None if engine.next_wake_on(&hw.bundles[j]) == Wake::Idle => {
-                                parked[i] = Some(cycles);
-                                continue;
-                            }
-                            None => {}
                         }
+                        engine.tick(Some(&mut hw.bundles[j]), hw.adapter.storage_mut());
+                        hw.touch_if_handshook(j);
                     }
-                    engine.tick(Some(&mut hw.bundles[j]), hw.adapter.storage_mut());
-                    hw.touch(j);
+                    None => {
+                        let hw = &mut channels_hw[placement.channel_of[i]];
+                        engine.tick(None, hw.adapter.storage_mut());
+                    }
                 }
-                None => {
-                    let hw = &mut channels_hw[placement.channel_of[i]];
-                    engine.tick(None, hw.adapter.storage_mut());
+                // Only a tick or a fast-forward can finish an engine, and
+                // a parked one has no countdown left to finish on.
+                if engine.done() {
+                    done_at[i] = Some(cycles + 1);
+                    live -= 1;
+                    visit.remove(i);
                 }
-            }
-            // Only a tick or a fast-forward can finish an engine, and a
-            // parked one has no countdown left to finish on.
-            if engine.done() {
-                done_at[i] = Some(cycles + 1);
-                live -= 1;
             }
         }
         for hw in channels_hw.iter_mut() {
-            hw.tick(event);
-            hw.end_cycle(event, cycles + 1);
+            hw.tick(event, cycles);
+            hw.end_cycle(event, cycles + 1, &mut visit);
         }
         cycles += 1;
         let hung = cycles > sys.max_cycles;
@@ -1558,6 +1636,9 @@ fn run_fabric(
                     .sum::<u64>()
         };
         if hung || watchdog.expired(cycles, progress) {
+            for hw in channels_hw.iter_mut() {
+                hw.wake_muxes(cycles);
+            }
             let mut components: Vec<HangComponent> = engines
                 .iter()
                 .enumerate()
@@ -1586,23 +1667,28 @@ fn run_fabric(
             ));
         }
     }
+    for hw in channels_hw.iter_mut() {
+        hw.wake_muxes(cycles);
+    }
     // Per-level occupancy, aggregated across channels (level 0 is the
     // leaf level of every channel's tree).
     let levels: Vec<LevelOccupancy> = (0..placement.depth())
         .map(|l| {
             let mut muxes = 0u32;
-            let (mut ar_beats, mut r_beats) = (0u64, 0u64);
+            let (mut ar_beats, mut r_beats, mut ar_waits) = (0u64, 0u64, 0u64);
             for hw in channels_hw.iter().filter(|hw| l < hw.plan.depth()) {
                 let row = hw.level(l);
                 muxes += row.len() as u32;
                 ar_beats += row.iter().map(AxiMux::ar_forwarded).sum::<u64>();
                 r_beats += row.iter().map(AxiMux::r_forwarded).sum::<u64>();
+                ar_waits += row.iter().map(AxiMux::ar_waits).sum::<u64>();
             }
             LevelOccupancy {
                 level: l as u32,
                 muxes,
                 ar_beats,
                 r_beats,
+                ar_waits,
             }
         })
         .collect();
@@ -1978,6 +2064,7 @@ mod tests {
                         }
                         let storage = Storage::new(placement.storage_bytes);
                         let mut hw = ChannelHw::new(&cfg, &placement, c, storage, true);
+                        let mut visit = Visits::all(n);
                         let root = tree.bundles() - 1;
                         for (leaf, &i) in tree.members.iter().enumerate() {
                             let local = (leaf * 7 + 3) as u16 & ((1 << placement.id_bits[i]) - 1);
@@ -1990,9 +2077,9 @@ mod tests {
                                     break ar.id.0;
                                 }
                                 assert!(cycle <= tree.depth(), "{point}: leaf {leaf} stuck");
-                                hw.tick(false);
+                                hw.tick(false, cycle as u64);
                                 cycle += 1;
-                                hw.end_cycle(false, cycle as u64);
+                                hw.end_cycle(false, cycle as u64, &mut visit);
                             };
                             hw.bundles[root].ar.pop();
                             assert_eq!(cycle, tree.depth() + 1, "{point}: leaf {leaf}");

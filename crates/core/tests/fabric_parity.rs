@@ -14,9 +14,11 @@
 //! and lockstep schedulers agree on every observable, the same oracle
 //! the flat corpus replay enforces, while event mode parks idle engines
 //! on their leaf ports, ends only the register stages something touched
-//! and skips idle muxes. A 32-requestor, three-level tree carries
-//! write-heavy scatter and spmv traffic through the same oracle, with
-//! and without transient faults.
+//! and parks muxes whose tick moved nothing. A 32-requestor,
+//! three-level tree carries write-heavy scatter and spmv traffic through
+//! the same oracle, with and without transient faults, and arity-3 and
+//! arity-8 trees over one or three channels, with and without row
+//! buffers and with IDEAL requestors mixed in, do too.
 
 use axi_pack::differential::SEED_CORPUS;
 use axi_pack::{
@@ -346,5 +348,105 @@ fn write_heavy_traffic_agrees_across_modes_on_a_three_level_tree() {
         assert_eq!(ev_probe.violation_summary(), None, "{ctx}: protocol");
         // 32 leaves plus 8 + 2 + 1 links, and 8 + 2 + 1 muxes.
         assert_work_skipped(&ctx, lk.cycles, (43, 11), &ev_probe, &lk_probe);
+    }
+}
+
+/// Register-stage bundles and muxes of a fabric whose channels hold
+/// `members` bus-attached requestors each, wired as arity-`arity` trees:
+/// one leaf per member, and per level one mux (and its down-link) per
+/// `arity` links of the level below, until one link remains.
+fn tree_size(members: &[usize], arity: usize) -> (u64, u64) {
+    let mut muxes = 0;
+    for &m in members {
+        let mut width = m;
+        while width > 1 {
+            width = width.div_ceil(arity);
+            muxes += width;
+        }
+    }
+    ((members.iter().sum::<usize>() + muxes) as u64, muxes as u64)
+}
+
+#[test]
+fn odd_and_widest_arities_agree_across_modes() {
+    // Arity 3 (a partial last mux) and 8 (the widest cascade level) over
+    // one or three channels, with and without row buffers. Twelve
+    // requestors: every fourth IDEAL, the rest PACK and BASE, alternating
+    // scatter (indexed AW/W/B bursts) with spmv (indexed reads).
+    let kinds = [
+        SystemKind::Pack,
+        SystemKind::Base,
+        SystemKind::Pack,
+        SystemKind::Ideal,
+    ];
+    let mk_sys = |sched: SchedMode| {
+        let mut sys = SystemConfig::paper(SystemKind::Pack);
+        sys.sched = sched;
+        sys
+    };
+    let requestors: Vec<Requestor> = (0..12u64)
+        .map(|i| {
+            let kind = kinds[i as usize % 4];
+            let p = mk_sys(SchedMode::Event).kernel_params_for(kind);
+            let kernel = if i % 2 == 0 {
+                scatter::build(96, 1.5, i, &p)
+            } else {
+                spmv::build(&CsrMatrix::random(16, 64, 6.0, i), i, &p)
+            };
+            Requestor::new(kind, kernel)
+        })
+        .collect();
+    for arity in [3, 8] {
+        for channels in [1, 3] {
+            for row_buffer in [None, Some((8, 6))] {
+                let mut fabric = FabricSpec::tree(arity).with_channels(channels);
+                if let Some((words, penalty)) = row_buffer {
+                    fabric = fabric.with_row_buffer(words, penalty);
+                }
+                let ctx =
+                    format!("arity {arity}, {channels} channel(s), row buffer {row_buffer:?}");
+                let run = |sched: SchedMode| -> (SystemReport, RunProbe) {
+                    let topo = Topology::builder(&mk_sys(sched))
+                        .requestors(requestors.clone())
+                        .fabric(fabric)
+                        .build()
+                        .unwrap_or_else(|e| panic!("{ctx}: not DRC-clean: {e}"));
+                    let mut probe = RunProbe::default();
+                    let report = run_system_probed(&topo, &mut probe)
+                        .unwrap_or_else(|e| panic!("{ctx} ({sched}): run failed: {e}"));
+                    (report, probe)
+                };
+                let (ev, ev_probe) = run(SchedMode::Event);
+                let (lk, lk_probe) = run(SchedMode::Lockstep);
+                assert_eq!(format!("{ev:?}"), format!("{lk:?}"), "{ctx}: report");
+                assert_eq!(
+                    ev_probe.storage_digest, lk_probe.storage_digest,
+                    "{ctx}: store"
+                );
+                // Event mode may fast-forward while every channel is
+                // drained; lockstep neither skips nor parks.
+                assert_eq!(
+                    (lk_probe.parked_ticks, lk_probe.sched),
+                    (0, SchedProbe::default()),
+                    "{ctx}: lockstep neither parks nor skips"
+                );
+                assert_eq!(ev_probe.violation_summary(), None, "{ctx}: protocol");
+                assert!(
+                    ev.levels.iter().any(|l| l.ar_waits > 0),
+                    "{ctx}: no AR grant wait anywhere"
+                );
+                let mut members = vec![0; channels];
+                for i in (0..12).filter(|i| i % 4 != 3) {
+                    members[i % channels] += 1;
+                }
+                assert_work_skipped(
+                    &ctx,
+                    lk.cycles,
+                    tree_size(&members, arity),
+                    &ev_probe,
+                    &lk_probe,
+                );
+            }
+        }
     }
 }

@@ -14,6 +14,11 @@
 //! event scheduler. The price is that a capacity-1 FIFO sustains only one
 //! item every two cycles; use capacity ≥ 2 for full-rate links (exactly like
 //! a two-deep skid buffer in RTL).
+//!
+//! A FIFO also records whether anything was pushed or popped this cycle
+//! ([`Fifo::handshook`]). Without a handshake its register stage is a
+//! no-op, so a run loop may skip [`Fifo::end_cycle`] for it, and whoever
+//! reads it sees the same values next cycle.
 
 use std::collections::VecDeque;
 
@@ -43,6 +48,8 @@ pub struct Fifo<T> {
     /// Occupancy captured at the start of the current cycle.
     len_at_cycle_start: usize,
     capacity: usize,
+    /// Whether an item was pushed or popped this cycle.
+    handshook: bool,
     /// Lifetime statistics.
     total_pushed: u64,
     total_popped: u64,
@@ -63,6 +70,7 @@ impl<T> Fifo<T> {
             staged: VecDeque::with_capacity(capacity),
             len_at_cycle_start: 0,
             capacity,
+            handshook: false,
             total_pushed: 0,
             total_popped: 0,
         }
@@ -98,6 +106,7 @@ impl<T> Fifo<T> {
         assert!(self.can_push(), "push into full fifo");
         self.staged.push_back(item);
         self.total_pushed += 1;
+        self.handshook = true;
     }
 
     /// Returns a reference to the oldest visible item without removing it.
@@ -118,17 +127,33 @@ impl<T> Fifo<T> {
         let item = self.queue.pop_front();
         if item.is_some() {
             self.total_popped += 1;
+            self.handshook = true;
         }
         item
     }
 
+    /// Returns `true` if an item was pushed or popped this cycle.
+    ///
+    /// When it is `false`, [`Fifo::end_cycle`] changes nothing a reader
+    /// can see: nothing is staged, and the occupancy is the one the last
+    /// register stage captured.
+    #[inline]
+    pub fn handshook(&self) -> bool {
+        self.handshook
+    }
+
     /// Commits this cycle's pushes and re-registers the occupancy.
     ///
-    /// Must be called exactly once per simulated cycle, after all component
-    /// ticks. A cycle without pushes only re-registers the occupancy: most
-    /// register stages of a large fabric carry nothing in most cycles.
+    /// Must be called once per simulated cycle, after all component
+    /// ticks, unless nothing was pushed or popped (see
+    /// [`Fifo::handshook`]): then it does nothing, and skipping it is
+    /// exact.
     #[inline]
     pub fn end_cycle(&mut self) {
+        if !self.handshook {
+            return;
+        }
+        self.handshook = false;
         if !self.staged.is_empty() {
             self.queue.append(&mut self.staged);
             debug_assert!(
@@ -308,6 +333,48 @@ mod tests {
         assert_eq!(f.push_slots(), 2);
         f.end_cycle();
         assert_eq!(f.push_slots(), 2);
+    }
+
+    proptest::proptest! {
+        /// `handshook` is set exactly by a push or a successful pop, and
+        /// after a cycle without either the register stage changes
+        /// nothing a reader sees: skipping it is exact.
+        #[test]
+        fn a_cycle_without_a_handshake_has_a_no_op_register_stage(
+            capacity in 1usize..5,
+            ops in proptest::collection::vec((0usize..3, 0usize..3), 1..120),
+        ) {
+            let mut f: Fifo<u32> = Fifo::new(capacity);
+            let seen = |f: &Fifo<u32>| {
+                (f.can_push(), f.push_slots(), f.len(), f.peek().copied(), f.is_empty())
+            };
+            let mut next = 0;
+            for (pops, pushes) in ops {
+                let mut moved = false;
+                for _ in 0..pops {
+                    moved |= f.pop().is_some();
+                }
+                for _ in 0..pushes {
+                    if f.can_push() {
+                        f.push(next);
+                        next += 1;
+                        moved = true;
+                    }
+                }
+                proptest::prop_assert_eq!(f.handshook(), moved);
+                if !moved {
+                    // What makes the stage a no-op: nothing staged, and
+                    // the registered occupancy is the visible one.
+                    proptest::prop_assert_eq!(f.push_slots(), capacity - f.len());
+                }
+                let before = seen(&f);
+                f.end_cycle();
+                proptest::prop_assert!(!f.handshook());
+                if !moved {
+                    proptest::prop_assert_eq!(seen(&f), before);
+                }
+            }
+        }
     }
 
     #[test]
