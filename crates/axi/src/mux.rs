@@ -4,11 +4,11 @@
 //! and systems with multiple requestors and endpoints" — packed bursts are
 //! ordinary AXI4 transactions, so any ID-remapping interconnect carries
 //! them untouched. [`AxiMux`] demonstrates that: it funnels up to
-//! [`MAX_FAN_IN`] manager ports ([`MAX_MANAGERS`] on a flat mux) into one
-//! subordinate port by prefixing transaction IDs with the manager index
-//! (the standard AXI interconnect scheme), routes W beats in AW-acceptance
-//! order, and demultiplexes R/B responses by ID prefix. Packed bursts
-//! need no special handling whatsoever.
+//! [`MAX_FAN_IN`] manager ports into one subordinate port by prefixing
+//! transaction IDs with the manager index (the standard AXI interconnect
+//! scheme), routes W beats in AW-acceptance order, and demultiplexes R/B
+//! responses by ID prefix. Packed bursts need no special handling
+//! whatsoever.
 //!
 //! # Arbitration policy
 //!
@@ -51,7 +51,9 @@ use std::collections::VecDeque;
 use crate::beat::AxiId;
 use crate::channels::AxiChannels;
 
-/// Maximum managers a *flat* (non-cascaded) mux supports (2 ID bits).
+/// The arity of `FabricSpec::flat()` in `axi-pack`: the flat fabric's
+/// single mux takes up to four managers (2 ID-prefix bits), as the
+/// pre-fabric system did. Nothing else reads it.
 pub const MAX_MANAGERS: usize = 4;
 /// Maximum fan-in of one level of a cascaded mux tree (3 ID-prefix bits).
 /// Sized so the per-cycle arbitration scratch stays on the stack.
@@ -96,10 +98,10 @@ struct MuxFaults {
 /// # Examples
 ///
 /// ```
-/// use axi_proto::{ArBeat, AxiChannels, AxiMux, BusConfig};
+/// use axi_proto::{ArBeat, AxiChannels, AxiMux, BusConfig, LOCAL_ID_BITS};
 ///
 /// let bus = BusConfig::new(256);
-/// let mut mux = AxiMux::new(2);
+/// let mut mux = AxiMux::cascade(2, LOCAL_ID_BITS);
 /// let mut managers = vec![AxiChannels::new(), AxiChannels::new()];
 /// let mut downstream = AxiChannels::new();
 /// assert!(!mux.tick(&mut managers, &mut downstream), "nothing to move");
@@ -150,27 +152,12 @@ pub struct AxiMux {
 }
 
 impl AxiMux {
-    /// Creates a flat mux over `n` manager ports whose managers are
-    /// engines with [`LOCAL_ID_BITS`]-bit local IDs — the single-level
-    /// topology every pre-fabric system uses.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= n <= 4`.
-    pub fn new(n: usize) -> Self {
-        assert!(
-            (1..=MAX_MANAGERS).contains(&n),
-            "mux supports 1..=4 managers, got {n}"
-        );
-        Self::cascade(n, LOCAL_ID_BITS)
-    }
-
     /// Creates one level of a cascaded mux tree: `n` manager ports whose
     /// IDs already occupy `shift` bits (engine-local bits plus any
-    /// lower-level prefixes). This level stacks its own manager-index
-    /// prefix at bit `shift`, so its downstream IDs occupy
-    /// `shift + ceil(log2(n))` bits; a parent level is constructed with
-    /// that wider shift.
+    /// lower-level prefixes; [`LOCAL_ID_BITS`] when the managers are
+    /// engines). This level stacks its own manager-index prefix at bit
+    /// `shift`, so its downstream IDs occupy `shift + ceil(log2(n))`
+    /// bits; a parent level is constructed with that wider shift.
     ///
     /// # Panics
     ///
@@ -537,7 +524,6 @@ mod tests {
 
     #[test]
     fn cascade_levels_report_their_shift() {
-        assert_eq!(AxiMux::new(4).shift(), LOCAL_ID_BITS);
         assert_eq!(AxiMux::cascade(8, 9).shift(), 9);
     }
 
@@ -562,7 +548,7 @@ mod tests {
     #[test]
     fn ar_requests_interleave_fairly() {
         let bus = BusConfig::new(256);
-        let mut mux = AxiMux::new(2);
+        let mut mux = AxiMux::cascade(2, LOCAL_ID_BITS);
         let mut mgrs = vec![AxiChannels::new(), AxiChannels::new()];
         let mut down = AxiChannels::new();
         let mut order = Vec::new();
@@ -599,7 +585,7 @@ mod tests {
         // figures depend on (a fixed-priority mux would hand manager 0
         // every grant).
         let bus = BusConfig::new(256);
-        let mut mux = AxiMux::new(4);
+        let mut mux = AxiMux::cascade(4, LOCAL_ID_BITS);
         let mut mgrs: Vec<AxiChannels> = (0..4).map(|_| AxiChannels::new()).collect();
         let mut down = AxiChannels::new();
         let mut order = Vec::new();
@@ -635,7 +621,7 @@ mod tests {
     #[test]
     fn grant_storms_stall_arbitration_but_lose_nothing() {
         let bus = BusConfig::new(256);
-        let mut mux = AxiMux::new(2);
+        let mut mux = AxiMux::cascade(2, LOCAL_ID_BITS);
         let mut spec = simkit::fault::FaultSpec::silent(11);
         spec.grant_storm_period = 3;
         spec.grant_storm_len = 4;
@@ -773,7 +759,10 @@ mod tests {
         // stage of one of its bundles runs. After every wake the two must
         // agree on every bit of state, lost rounds included.
         let bus = BusConfig::new(256);
-        let (mut ticking, mut parking) = (AxiMux::new(3), AxiMux::new(3));
+        let (mut ticking, mut parking) = (
+            AxiMux::cascade(3, LOCAL_ID_BITS),
+            AxiMux::cascade(3, LOCAL_ID_BITS),
+        );
         let (mut a, mut b) = (Rig::new(3), Rig::new(3));
         let mut roll = 0x9e37_79b9_7f4a_7c15u64;
         let mut parked_since: Option<u64> = None;
@@ -824,7 +813,10 @@ mod tests {
         let mut spec = simkit::fault::FaultSpec::silent(5);
         spec.grant_storm_period = 1;
         spec.grant_storm_len = 1;
-        let (mut stormy, mut plain) = (AxiMux::new(3), AxiMux::new(3));
+        let (mut stormy, mut plain) = (
+            AxiMux::cascade(3, LOCAL_ID_BITS),
+            AxiMux::cascade(3, LOCAL_ID_BITS),
+        );
         stormy.install_faults(&spec);
         let mut rig = Rig::new(3);
         assert!(
@@ -874,7 +866,7 @@ mod tests {
     #[test]
     fn w_beats_follow_aw_order() {
         let bus = BusConfig::new(256);
-        let mut mux = AxiMux::new(2);
+        let mut mux = AxiMux::cascade(2, LOCAL_ID_BITS);
         let mut mgrs = vec![AxiChannels::new(), AxiChannels::new()];
         let mut down = AxiChannels::new();
         // Manager 0 posts a 2-beat write, manager 1 a 1-beat write.
@@ -933,7 +925,7 @@ mod tests {
 
     #[test]
     fn responses_route_back_by_prefix() {
-        let mut mux = AxiMux::new(3);
+        let mut mux = AxiMux::cascade(3, LOCAL_ID_BITS);
         let mut mgrs = vec![AxiChannels::new(), AxiChannels::new(), AxiChannels::new()];
         let mut down = AxiChannels::new();
         // Open the transactions the responses answer, so the per-manager
@@ -980,7 +972,7 @@ mod tests {
     #[test]
     fn packed_bursts_pass_through_untouched_except_id() {
         let bus = BusConfig::new(256);
-        let mut mux = AxiMux::new(2);
+        let mut mux = AxiMux::cascade(2, LOCAL_ID_BITS);
         let mut mgrs = vec![AxiChannels::new(), AxiChannels::new()];
         let mut down = AxiChannels::new();
         let ar = ArBeat::packed_strided(3, 0x40, 16, ElemSize::B4, 7, &bus);

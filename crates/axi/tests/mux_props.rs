@@ -33,7 +33,7 @@ fn run_read_traffic(schedules: &[Vec<ReadReq>], seed: u64) -> Vec<Vec<(u16, u8, 
     let n = schedules.len();
     let bus = bus();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut mux = AxiMux::new(n);
+    let mut mux = AxiMux::cascade(n, LOCAL_ID_BITS);
     let mut mgrs: Vec<AxiChannels> = (0..n).map(|_| AxiChannels::new()).collect();
     let mut down = AxiChannels::new();
     let mut mgr_mons: Vec<Monitor> = (0..n)
@@ -215,7 +215,7 @@ proptest! {
         let n = schedules.len();
         let bus = bus();
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut mux = AxiMux::new(n);
+        let mut mux = AxiMux::cascade(n, LOCAL_ID_BITS);
         let mut mgrs: Vec<AxiChannels> = (0..n).map(|_| AxiChannels::new()).collect();
         let mut down = AxiChannels::new();
         let mut aw_pending: Vec<VecDeque<ReadReq>> = schedules

@@ -14,15 +14,16 @@
 //!    site, or [`RunError::Hang`] with component forensics. A panic,
 //!    a silent wrong answer, or an untyped failure fails the seed.
 //! 2. **Mode determinism.** The event-driven and lockstep schedulers
-//!    must agree: recovered runs produce bit-equal digests and
-//!    [`RunReport`](crate::report::RunReport)s (including fault
-//!    counters); aborted runs produce
-//!    bit-equal [`FaultReport`]s. Hangs are compared by class only —
-//!    the watchdog's firing cycle is the one quantity allowed to differ.
+//!    must agree: recovered runs pass [`lockstep_divergence`] — equal
+//!    digests and whole reports, fault counters included; aborted runs
+//!    produce bit-equal [`FaultReport`]s. Hangs are compared by class
+//!    only — the watchdog's firing cycle is the one quantity allowed to
+//!    differ.
 //! 3. **Isolation on the shared bus.** A 2-requestor topology under the
 //!    same plan must report per-requestor [`RequestorOutcome`]s; both
 //!    modes must classify every requestor identically, and a fully
-//!    recovered topology must reproduce the fault-free composed store.
+//!    recovered topology must reproduce the fault-free composed store
+//!    and pass [`lockstep_divergence`] on its whole system report.
 //!
 //! With no [`FaultSpec`] armed, none of this code runs — `figures all`
 //! output stays byte-identical and the disabled hooks are covered by the
@@ -32,8 +33,8 @@ use simkit::fault::{FaultReport, FaultSpec};
 use vproc::SystemKind;
 use workloads::synth::{self, SplitMix64, SynthConfig};
 
-use crate::differential::{memory_digest, report_divergence, seed_system, RunProbe};
-use crate::report::RequestorOutcome;
+use crate::differential::{composed_digest, lockstep_divergence, seed_system, RunProbe};
+use crate::report::{RequestorOutcome, RunReport, SystemReport};
 use crate::system::{
     run_kernel_probed, run_system_probed, Requestor, RunError, SchedMode, Topology,
 };
@@ -47,18 +48,16 @@ pub const CHAOS_WATCHDOG: u64 = 200_000;
 
 /// What one shared-bus chaos run resolves to: the per-requestor
 /// outcome vector (empty = the whole topology hung) plus, when fully
-/// recovered, the verified digest and report.
-type SharedOutcome = (
-    Vec<RequestorOutcome>,
-    Option<(u64, crate::report::SystemReport)>,
-);
+/// recovered, the verified report and the probe that watched it.
+type SharedOutcome = (Vec<RequestorOutcome>, Option<(SystemReport, RunProbe)>);
 
 /// How one faulted run ended, reduced to the classes the cross-mode
 /// comparison cares about.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 enum ChaosClass {
-    /// Completed with a verified, digest-checked result.
-    Recovered { digest: u64 },
+    /// Completed with a verified, digest-checked result: its report and
+    /// the probe that watched it.
+    Recovered(RunReport, Box<RunProbe>),
     /// Typed abort: retry budget exhausted or unretryable fault.
     Aborted(FaultReport),
     /// Progress watchdog (or cycle ceiling) fired.
@@ -68,7 +67,7 @@ enum ChaosClass {
 impl ChaosClass {
     fn name(&self) -> &'static str {
         match self {
-            ChaosClass::Recovered { .. } => "recovered",
+            ChaosClass::Recovered(..) => "recovered",
             ChaosClass::Aborted(_) => "aborted",
             ChaosClass::Hung => "hung",
         }
@@ -108,7 +107,7 @@ fn classify_solo(
     kernel: &workloads::Kernel,
     reference: u64,
     cycles: &mut u64,
-) -> Result<(ChaosClass, Option<crate::report::RunReport>), String> {
+) -> Result<ChaosClass, String> {
     let mut probe = RunProbe::default();
     match run_kernel_probed(sys, kernel, &mut probe) {
         Ok(report) => {
@@ -123,16 +122,16 @@ fn classify_solo(
                 ));
             }
             *cycles += report.cycles;
-            Ok((ChaosClass::Recovered { digest }, Some(report)))
+            Ok(ChaosClass::Recovered(report, Box::new(probe)))
         }
-        Err(RunError::Axi(r)) => Ok((ChaosClass::Aborted(r), None)),
+        Err(RunError::Axi(r)) => Ok(ChaosClass::Aborted(r)),
         Err(RunError::Hang(r)) => {
             // A hang report must name a suspect — empty forensics would
             // make the report useless for triage.
             if r.components.is_empty() || r.suspect.is_empty() {
                 return Err(format!("hang report carries no forensics: {r}"));
             }
-            Ok((ChaosClass::Hung, None))
+            Ok(ChaosClass::Hung)
         }
         Err(e) => Err(format!("untyped failure under fault: {e}")),
     }
@@ -189,23 +188,22 @@ pub fn check_chaos_seed(seed: u64, cfg: &SynthConfig) -> Result<ChaosOutcome, St
 
         // The same kernel under the armed plan, in both modes.
         sys.fault = Some(plan);
-        let (ev_class, ev_report) = classify_solo(&sys, &sk.kernel, reference, &mut cycles)
+        let ev_class = classify_solo(&sys, &sk.kernel, reference, &mut cycles)
             .map_err(|e| format!("seed {seed}: {kind} event-mode chaos run: {e}"))?;
         let mut lock_sys = sys;
         lock_sys.sched = SchedMode::Lockstep;
-        let (lk_class, lk_report) = classify_solo(&lock_sys, &sk.kernel, reference, &mut cycles)
+        let lk_class = classify_solo(&lock_sys, &sk.kernel, reference, &mut cycles)
             .map_err(|e| format!("seed {seed}: {kind} lockstep chaos run: {e}"))?;
         checks += 2;
 
         // Mode determinism: same class; recovered → bit-equal reports;
         // aborted → bit-equal fault reports.
-        match (&ev_class, &lk_class) {
-            (ChaosClass::Recovered { .. }, ChaosClass::Recovered { .. }) => {
-                let (ev, lk) = (ev_report.expect("recovered"), lk_report.expect("recovered"));
-                if let Some(field) = report_divergence(&ev, &lk) {
+        match (ev_class, lk_class) {
+            (ChaosClass::Recovered(ev, ev_probe), ChaosClass::Recovered(lk, lk_probe)) => {
+                if let Some(d) = lockstep_divergence(&ev, &ev_probe, &lk, &lk_probe) {
                     return Err(format!(
-                        "seed {seed}: {kind} chaos report diverges between event and \
-                         lockstep modes on {field} (scenario: {summary})"
+                        "seed {seed}: {kind} chaos lockstep replay diverges: {d} \
+                         (scenario: {summary})"
                     ));
                 }
                 recovered += 1;
@@ -261,18 +259,7 @@ pub fn check_chaos_seed(seed: u64, cfg: &SynthConfig) -> Result<ChaosOutcome, St
         .map_err(|e| format!("seed {seed}: generated chaos topology violates the DRC: {e}"))?;
 
     // Fault-free composed reference.
-    let bases = topo.placement().window_bases;
-    let total = bases
-        .iter()
-        .zip(&refs)
-        .map(|(&b, r)| b as usize + r.len())
-        .max()
-        .expect("two requestors");
-    let mut composed = vec![0u8; total];
-    for (&base, r) in bases.iter().zip(&refs) {
-        composed[base as usize..base as usize + r.len()].copy_from_slice(r);
-    }
-    let reference = memory_digest(&composed);
+    let reference = composed_digest(&topo.window_bases(), &refs);
 
     topo.system.fault = Some(plan);
     let classify_shared = |topo: &Topology| -> Result<SharedOutcome, String> {
@@ -290,7 +277,7 @@ pub fn check_chaos_seed(seed: u64, cfg: &SynthConfig) -> Result<ChaosOutcome, St
                              image (digest {digest:#018x} vs {reference:#018x})"
                         ));
                     }
-                    Ok((report.outcomes.clone(), Some((digest, report))))
+                    Ok((report.outcomes.clone(), Some((report, probe))))
                 } else {
                     Ok((report.outcomes, None))
                 }
@@ -318,19 +305,11 @@ pub fn check_chaos_seed(seed: u64, cfg: &SynthConfig) -> Result<ChaosOutcome, St
     }
     checks += 1;
     match (ev.1, lk.1) {
-        (Some((ed, er)), Some((ld, lr))) => {
-            if ed != ld {
+        (Some((er, ep)), Some((lr, lp))) => {
+            if let Some(d) = lockstep_divergence(&er, &ep, &lr, &lp) {
                 return Err(format!(
-                    "seed {seed}: 2-requestor recovered digests differ between modes"
+                    "seed {seed}: 2-requestor chaos lockstep replay diverges: {d}"
                 ));
-            }
-            for (i, (a, b)) in er.requestors.iter().zip(&lr.requestors).enumerate() {
-                if let Some(field) = report_divergence(a, b) {
-                    return Err(format!(
-                        "seed {seed}: 2-requestor chaos, requestor {i} report diverges \
-                         between modes on {field}"
-                    ));
-                }
             }
             recovered += 1;
             cycles += er.cycles + lr.cycles;

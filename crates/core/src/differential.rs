@@ -9,10 +9,10 @@
 //!    by a protocol [`axi_proto::checker::Monitor`], and the kernel's
 //!    tolerance checks must pass.
 //! 2. **Metamorphic invariants** — a single-requestor [`Topology`] must
-//!    reproduce the solo [`crate::run_kernel`] cycle count exactly; relocating
+//!    reproduce the solo [`crate::run_kernel`] report exactly; relocating
 //!    the kernel into a 4 KiB-aligned address window
-//!    ([`workloads::Kernel::rebased`]) must change neither cycles nor
-//!    results.
+//!    ([`workloads::Kernel::rebased`]) must change neither the report nor
+//!    the results.
 //! 3. **Topology replay** — the same seed expands into 2- and 4-requestor
 //!    shared-bus topologies (mixed BASE/PACK/IDEAL kinds); the shared
 //!    store must equal the composition of every requestor's reference
@@ -23,11 +23,13 @@
 //!    directly; R payloads must match the [`axi_proto::expand`] reference
 //!    expansion and plain writes must land exactly where issued.
 //! 5. **Scheduler oracle** — every solo run and the 2-requestor topology
-//!    are replayed in lockstep mode ([`SchedMode::Lockstep`]); completion
-//!    cycles, memory digests and every [`crate::RunReport`] counter
-//!    (stalls, conflicts, utilizations bit-compared) must be identical to
-//!    the event-driven run, and the lockstep replay must fast-forward
-//!    zero spans.
+//!    are replayed in lockstep mode ([`SchedMode::Lockstep`]);
+//!    [`lockstep_divergence`] demands the same memory digest and the
+//!    same whole report, and a replay that skipped no span and parked no
+//!    engine.
+//!
+//! Every run-equality check here and in [`crate::chaos`] compares whole
+//! reports through [`run_divergence`].
 //!
 //! A failing seed reports a one-line repro command
 //! ([`repro_command`]); [`minimize`] shrinks it by halving program
@@ -40,6 +42,9 @@ use banked_mem::{BankConfig, Storage};
 use pack_ctrl::{Adapter, CtrlConfig};
 use vproc::SystemKind;
 use workloads::synth::{self, SplitMix64, SynthConfig, SynthKernel};
+
+use std::fmt::Debug;
+use std::sync::Arc;
 
 use crate::report::RunReport;
 use crate::system::{
@@ -56,6 +61,18 @@ pub fn memory_digest(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
+}
+
+/// [`memory_digest`] of the store a run over these windows must leave:
+/// each reference image at its window base, every gap zero.
+pub(crate) fn composed_digest(bases: &[u64], images: &[Arc<[u8]>]) -> u64 {
+    let windows = || bases.iter().map(|&b| b as usize).zip(images);
+    let end = windows().map(|(b, r)| b + r.len()).max().unwrap_or(0);
+    let mut composed = vec![0u8; end];
+    for (b, r) in windows() {
+        composed[b..b + r.len()].copy_from_slice(r);
+    }
+    memory_digest(&composed)
 }
 
 /// Scheduler activity of one probed run.
@@ -90,6 +107,8 @@ pub struct RunProbe {
     /// One monitor per bus-attached leaf port, channel by channel in
     /// port order (empty for IDEAL-only runs).
     pub monitors: Vec<Monitor>,
+    /// The requestor behind each of [`RunProbe::monitors`].
+    pub(crate) monitor_requestors: Vec<usize>,
     /// Always `None` after a run: the link below a mux is a channel's
     /// root link, and its monitor lands in [`RunProbe::roots`]. The
     /// field stays so code that reads it keeps compiling.
@@ -97,6 +116,8 @@ pub struct RunProbe {
     /// One monitor per memory channel on the root link of its mux tree;
     /// channels without a mux (a single bus-attached member) have none.
     pub roots: Vec<Monitor>,
+    /// The channel behind each of [`RunProbe::roots`].
+    pub(crate) root_channels: Vec<usize>,
     /// [`memory_digest`] of the final backing store.
     pub storage_digest: Option<u64>,
     /// Idle spans the event-driven scheduler fast-forwarded (all zeros in
@@ -127,12 +148,12 @@ impl RunProbe {
             .monitors
             .iter()
             .enumerate()
-            .map(|(i, m)| (format!("manager {i}"), m))
+            .map(|(k, m)| (format!("requestor {}", self.monitor_requestors[k]), m))
             .chain(
                 self.roots
                     .iter()
                     .enumerate()
-                    .map(|(c, m)| (format!("channel {c} root"), m)),
+                    .map(|(k, m)| (format!("channel {} root", self.root_channels[k]), m)),
             );
         for (side, mon) in sides {
             for v in mon.violations() {
@@ -144,6 +165,49 @@ impl RunProbe {
         }
         (!out.is_empty()).then(|| out.join("; "))
     }
+}
+
+/// The first line on which two run reports ([`RunReport`] or
+/// [`crate::SystemReport`]) differ, numbered and shown from both, or
+/// `None` when they are identical. The reports are compared by their
+/// pretty [`Debug`] rendering, which prints every field and every float
+/// exactly, so equal renderings mean bit-equal reports and a field added
+/// to a report is compared from then on.
+pub fn run_divergence<R: Debug>(a: &R, b: &R) -> Option<String> {
+    // The compact rendering holds the same text at a third of the cost;
+    // only a divergence needs the lines.
+    if format!("{a:?}") == format!("{b:?}") {
+        return None;
+    }
+    let (a, b) = (format!("{a:#?}"), format!("{b:#?}"));
+    let (a, b): (Vec<&str>, Vec<&str>) = (a.lines().collect(), b.lines().collect());
+    let n = (0..a.len().max(b.len())).find(|&n| a.get(n) != b.get(n))?;
+    let [x, y] = [&a, &b].map(|r| r.get(n).map_or("<end of report>", |l| l.trim()));
+    Some(format!("line {}: `{x}` vs `{y}`", n + 1))
+}
+
+/// [`run_divergence`] between an event-mode run and its lockstep replay,
+/// after what the replay itself must show: it fast-forwarded no idle
+/// span, parked no engine and left the same backing store.
+pub fn lockstep_divergence<R: Debug>(
+    event: &R,
+    ev_probe: &RunProbe,
+    lockstep: &R,
+    lk_probe: &RunProbe,
+) -> Option<String> {
+    if lk_probe.sched != SchedProbe::default() || lk_probe.parked_ticks != 0 {
+        return Some(format!(
+            "lockstep skipped {} spans and parked {} engine ticks; it must do neither",
+            lk_probe.sched.skip_spans, lk_probe.parked_ticks
+        ));
+    }
+    if ev_probe.storage_digest != lk_probe.storage_digest {
+        return Some(format!(
+            "final memory differs: digest {:#018x?} (event) vs {:#018x?} (lockstep)",
+            ev_probe.storage_digest, lk_probe.storage_digest
+        ));
+    }
+    run_divergence(event, lockstep).map(|d| format!("report differs at {d} (event vs lockstep)"))
 }
 
 /// What one seed's full differential check covered (for reporting).
@@ -206,47 +270,6 @@ pub(crate) fn seed_system(seed: u64, kind: SystemKind) -> SystemConfig {
     sys
 }
 
-/// First field on which two [`RunReport`]s diverge between scheduler
-/// modes, or `None` when they are identical. Floating-point fields are
-/// compared by bit pattern — the oracle demands exactness, not
-/// tolerance.
-pub(crate) fn report_divergence(event: &RunReport, lock: &RunReport) -> Option<String> {
-    macro_rules! cmp {
-        ($field:ident) => {
-            if event.$field != lock.$field {
-                return Some(format!(
-                    concat!(stringify!($field), ": {:?} (event) vs {:?} (lockstep)"),
-                    event.$field, lock.$field
-                ));
-            }
-        };
-    }
-    macro_rules! cmp_f64 {
-        ($field:ident) => {
-            if event.$field.to_bits() != lock.$field.to_bits() {
-                return Some(format!(
-                    concat!(stringify!($field), ": {} (event) vs {} (lockstep)"),
-                    event.$field, lock.$field
-                ));
-            }
-        };
-    }
-    cmp!(cycles);
-    cmp_f64!(r_util);
-    cmp_f64!(r_util_no_idx);
-    cmp_f64!(r_busy);
-    cmp!(data_mismatches);
-    cmp!(ar_stall_cycles);
-    cmp!(w_stall_cycles);
-    cmp!(bank_conflicts);
-    cmp!(activity);
-    cmp_f64!(power_mw);
-    cmp_f64!(energy_uj);
-    cmp!(injected_faults);
-    cmp!(fault_retries);
-    None
-}
-
 /// The kernel-family differential for one seed (checks 1–3 and 5 of the
 /// [module docs](self)).
 ///
@@ -290,7 +313,7 @@ fn check_kernel_seed_watched(
         .collect();
     let reference = memory_digest(&built[0].1.final_mem);
     let summary = built[0].1.summary.clone();
-    let mut solo_cycles = [0u64; 3];
+    let mut solo: Vec<RunReport> = Vec::with_capacity(kinds.len());
     for (i, (sys, sk)) in built.iter().enumerate() {
         let mut probe = RunProbe::default();
         let report = run_kernel_probed(sys, &sk.kernel, &mut probe)
@@ -309,7 +332,6 @@ fn check_kernel_seed_watched(
                 kinds[i]
             ));
         }
-        solo_cycles[i] = report.cycles;
         cycles += report.cycles;
         checks += 3;
 
@@ -319,29 +341,15 @@ fn check_kernel_seed_watched(
         let mut lock_probe = RunProbe::default();
         let lock_report = run_kernel_probed(&lock_sys, &sk.kernel, &mut lock_probe)
             .map_err(|e| format!("seed {seed}: lockstep {} run failed: {e}", kinds[i]))?;
-        if lock_probe.sched != SchedProbe::default() {
+        if let Some(d) = lockstep_divergence(&report, &probe, &lock_report, &lock_probe) {
             return Err(format!(
-                "seed {seed}: lockstep {} run fast-forwarded {} spans ({} cycles) — \
-                 lockstep mode must never skip",
-                kinds[i], lock_probe.sched.skip_spans, lock_probe.sched.skipped_cycles
-            ));
-        }
-        if lock_probe.storage_digest != probe.storage_digest {
-            return Err(format!(
-                "seed {seed}: {} final memory differs between event and lockstep modes \
-                 ({:#018x?} vs {:#018x?}; scenario: {summary})",
-                kinds[i], probe.storage_digest, lock_probe.storage_digest
-            ));
-        }
-        if let Some(field) = report_divergence(&report, &lock_report) {
-            return Err(format!(
-                "seed {seed}: {} report diverges between event and lockstep modes on \
-                 {field} (scenario: {summary})",
+                "seed {seed}: {} lockstep replay diverges: {d} (scenario: {summary})",
                 kinds[i]
             ));
         }
         cycles += lock_report.cycles;
         checks += 3;
+        solo.push(report);
     }
 
     // --- 2a. Metamorphic: 1-requestor topology == solo run ----------
@@ -361,11 +369,9 @@ fn check_kernel_seed_watched(
     checks += 1;
     let sys_report = run_system(&topo)
         .map_err(|e| format!("seed {seed}: single-requestor topology failed: {e}"))?;
-    if sys_report.requestors[0].cycles != solo_cycles[1] {
+    if let Some(d) = run_divergence(&sys_report.requestors[0], &solo[1]) {
         return Err(format!(
-            "seed {seed}: single-requestor topology took {} cycles, solo run took {} \
-             (must be identical)",
-            sys_report.requestors[0].cycles, solo_cycles[1]
+            "seed {seed}: single-requestor topology report differs from the solo run at {d}"
         ));
     }
     cycles += sys_report.cycles;
@@ -377,18 +383,16 @@ fn check_kernel_seed_watched(
     let mut probe = RunProbe::default();
     let report = run_kernel_probed(&pack_sys, &moved, &mut probe)
         .map_err(|e| format!("seed {seed}: rebased (+{offset:#x}) pack run failed: {e}"))?;
-    if report.cycles != solo_cycles[1] {
+    if let Some(d) = run_divergence(&report, &solo[1]) {
         return Err(format!(
-            "seed {seed}: rebasing by {offset:#x} changed pack cycles: {} vs {}",
-            report.cycles, solo_cycles[1]
+            "seed {seed}: rebasing by {offset:#x} changed the pack report at {d}"
         ));
     }
     if let Some(v) = probe.violation_summary() {
         return Err(format!("seed {seed}: rebased run protocol violations: {v}"));
     }
-    let mut shifted = vec![0u8; offset as usize + built[1].1.final_mem.len()];
-    shifted[offset as usize..].copy_from_slice(&built[1].1.final_mem);
-    if probe.storage_digest != Some(memory_digest(&shifted)) {
+    let moved_ref = composed_digest(&[offset], &[built[1].1.final_mem.clone()]);
+    if probe.storage_digest != Some(moved_ref) {
         return Err(format!(
             "seed {seed}: rebasing by {offset:#x} changed the functional result"
         ));
@@ -399,7 +403,7 @@ fn check_kernel_seed_watched(
     // --- 3. Topology replay: 2 and 4 requestors ---------------------
     for n in [2usize, 4] {
         let mut requestors = Vec::with_capacity(n);
-        let mut refs: Vec<std::sync::Arc<[u8]>> = Vec::with_capacity(n);
+        let mut refs: Vec<Arc<[u8]>> = Vec::with_capacity(n);
         for i in 0..n {
             let sub_seed = simkit::sweep::point_seed(seed, i);
             // At most one IDEAL slot (4-requestor runs), so the shared
@@ -431,17 +435,7 @@ fn check_kernel_seed_watched(
                 "seed {seed}: {n}-requestor topology protocol violations: {v}"
             ));
         }
-        let total = bases
-            .iter()
-            .zip(&refs)
-            .map(|(&b, r)| b as usize + r.len())
-            .max()
-            .expect("n >= 2");
-        let mut composed = vec![0u8; total];
-        for (&base, r) in bases.iter().zip(&refs) {
-            composed[base as usize..base as usize + r.len()].copy_from_slice(r);
-        }
-        if probe.storage_digest != Some(memory_digest(&composed)) {
+        if probe.storage_digest != Some(composed_digest(&bases, &refs)) {
             return Err(format!(
                 "seed {seed}: {n}-requestor shared store diverges from the composed \
                  per-window references"
@@ -458,49 +452,10 @@ fn check_kernel_seed_watched(
             let mut lock_probe = RunProbe::default();
             let lock_report = run_system_probed(&lock_topo, &mut lock_probe)
                 .map_err(|e| format!("seed {seed}: lockstep {n}-requestor topology failed: {e}"))?;
-            if lock_probe.sched != SchedProbe::default() {
+            if let Some(d) = lockstep_divergence(&report, &probe, &lock_report, &lock_probe) {
                 return Err(format!(
-                    "seed {seed}: lockstep {n}-requestor topology fast-forwarded {} spans — \
-                     lockstep mode must never skip",
-                    lock_probe.sched.skip_spans
+                    "seed {seed}: {n}-requestor lockstep replay diverges: {d}"
                 ));
-            }
-            if lock_report.cycles != report.cycles {
-                return Err(format!(
-                    "seed {seed}: {n}-requestor completion differs between modes: \
-                     {} (event) vs {} (lockstep) cycles",
-                    report.cycles, lock_report.cycles
-                ));
-            }
-            if lock_probe.storage_digest != probe.storage_digest {
-                return Err(format!(
-                    "seed {seed}: {n}-requestor shared store differs between event and \
-                     lockstep modes"
-                ));
-            }
-            if lock_report.bus_r_busy.to_bits() != report.bus_r_busy.to_bits()
-                || lock_report.bus_r_util.to_bits() != report.bus_r_util.to_bits()
-                || lock_report.bank_conflicts != report.bank_conflicts
-                || lock_report.word_accesses != report.word_accesses
-                || lock_report.levels != report.levels
-            {
-                return Err(format!(
-                    "seed {seed}: {n}-requestor bus/memory aggregates differ between \
-                     event and lockstep modes"
-                ));
-            }
-            for (r, (ev, lk)) in report
-                .requestors
-                .iter()
-                .zip(&lock_report.requestors)
-                .enumerate()
-            {
-                if let Some(field) = report_divergence(ev, lk) {
-                    return Err(format!(
-                        "seed {seed}: {n}-requestor topology, requestor {r} report \
-                         diverges between event and lockstep modes on {field}"
-                    ));
-                }
             }
             cycles += lock_report.cycles;
             checks += 4 + n as u64;
@@ -1022,6 +977,7 @@ pub fn replay_corpus() -> Result<usize, Vec<(u64, String)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::FabricSpec;
 
     #[test]
     fn digest_is_order_and_content_sensitive() {
@@ -1074,6 +1030,114 @@ mod tests {
         assert!(cmd.contains("--max-ops 6"));
         assert!(cmd.contains("--max-elems 16"));
         assert!(cmd.contains("--no-read-back"));
+    }
+
+    /// Seed 3's PACK kernel, run probed under `sched`.
+    fn seed3_run(sched: SchedMode) -> (RunReport, RunProbe) {
+        let mut sys = seed_system(3, SystemKind::Pack);
+        sys.sched = sched;
+        let sk = synth::build(3, &SynthConfig::default(), &sys.kernel_params());
+        let mut probe = RunProbe::default();
+        let report = run_kernel_probed(&sys, &sk.kernel, &mut probe).expect("clean run");
+        (report, probe)
+    }
+
+    #[test]
+    fn identical_runs_do_not_diverge() {
+        let (ev, ev_probe) = seed3_run(SchedMode::Event);
+        let (again, _) = seed3_run(SchedMode::Event);
+        let (lk, lk_probe) = seed3_run(SchedMode::Lockstep);
+        assert_eq!(run_divergence(&ev, &again), None);
+        assert_eq!(lockstep_divergence(&ev, &ev_probe, &lk, &lk_probe), None);
+    }
+
+    #[test]
+    fn one_ulp_or_one_requestor_fewer_diverges_at_its_line() {
+        let (ev, _) = seed3_run(SchedMode::Event);
+        let mut off = ev.clone();
+        off.r_util = f64::from_bits(ev.r_util.to_bits() + 1);
+        let d = run_divergence(&ev, &off).expect("one ULP is a divergence");
+        let line = |r: &RunReport| format!("`r_util: {:?},`", r.r_util);
+        assert_eq!(d, format!("line 6: {} vs {}", line(&ev), line(&off)));
+
+        let cfg = seed_system(3, SystemKind::Pack);
+        let topo = Topology::builder(&cfg)
+            .requestors((0..2).map(|i| {
+                let sk = synth::build(i, &SynthConfig::default(), &cfg.kernel_params());
+                Requestor::new(SystemKind::Pack, sk.kernel)
+            }))
+            .build()
+            .expect("DRC-clean");
+        let full = run_system(&topo).expect("clean run");
+        let mut fewer = full.clone();
+        fewer.requestors.pop();
+        let d = run_divergence(&full, &fewer).expect("a missing requestor is a divergence");
+        assert!(d.ends_with("`RunReport {` vs `],`"), "{d}");
+    }
+
+    #[test]
+    fn a_skipping_parking_or_storing_lockstep_replay_diverges() {
+        let (ev, ev_probe) = seed3_run(SchedMode::Event);
+        let (lk, mut lk_probe) = seed3_run(SchedMode::Lockstep);
+        lk_probe.sched.record_span(1);
+        let d = lockstep_divergence(&ev, &ev_probe, &lk, &lk_probe);
+        assert!(d.expect("a skip span").contains("skipped 1 spans"));
+        lk_probe.sched = SchedProbe::default();
+        lk_probe.parked_ticks = 1;
+        let d = lockstep_divergence(&ev, &ev_probe, &lk, &lk_probe);
+        assert!(d.expect("a parked tick").contains("parked 1 engine ticks"));
+        lk_probe.parked_ticks = 0;
+        lk_probe.storage_digest = lk_probe.storage_digest.map(|d| !d);
+        let d = lockstep_divergence(&ev, &ev_probe, &lk, &lk_probe);
+        assert!(d
+            .expect("a different store")
+            .contains("final memory differs"));
+    }
+
+    #[test]
+    fn violations_name_the_requestor_or_channel_behind_each_monitor() {
+        // Requestor i lives on channel i % 2: channel 0 holds IDEAL 0
+        // and PACK 2 (one leaf, no mux), channel 1 holds PACK 1 and
+        // BASE 3 under one mux. Leaf monitors run channel by channel, so
+        // position k is not requestor k, and only channel 1 has a root.
+        let cfg = seed_system(3, SystemKind::Pack);
+        let kinds = [
+            SystemKind::Ideal,
+            SystemKind::Pack,
+            SystemKind::Pack,
+            SystemKind::Base,
+        ];
+        let topo = Topology::builder(&cfg)
+            .requestors(kinds.iter().enumerate().map(|(i, &kind)| {
+                let sk = synth::build(
+                    i as u64,
+                    &SynthConfig::default(),
+                    &cfg.kernel_params_for(kind),
+                );
+                Requestor::new(kind, sk.kernel)
+            }))
+            .fabric(FabricSpec::tree(2).with_channels(2))
+            .build()
+            .expect("DRC-clean");
+        let mut probe = RunProbe::default();
+        run_system_probed(&topo, &mut probe).expect("clean run");
+        assert_eq!(probe.violation_summary(), None);
+        // Leave one burst open on every monitor.
+        let ar = ArBeat::incr(0, 0, 1, &BusConfig::new(cfg.bus_bits));
+        for mon in probe.monitors.iter_mut().chain(&mut probe.roots) {
+            mon.observe_ar(&ar);
+        }
+        let open = ": bursts left open at end of run";
+        let want = [
+            "requestor 2",
+            "requestor 1",
+            "requestor 3",
+            "channel 1 root",
+        ];
+        assert_eq!(
+            probe.violation_summary(),
+            Some(want.map(|side| format!("{side}{open}")).join("; "))
+        );
     }
 
     #[test]

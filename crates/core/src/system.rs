@@ -1696,21 +1696,22 @@ fn run_fabric(
         .iter()
         .map(|hw| AdapterSnap::of(&hw.adapter))
         .collect();
-    // Consume the hardware: monitors out, per-channel storages out.
-    let mut leaf_monitors: Vec<Monitor> = Vec::new();
-    let mut root_monitors: Vec<Monitor> = Vec::new();
+    // Consume the hardware: monitors out, each with the requestor or
+    // channel it watched, per-channel storages out.
+    let mut leaf_monitors: Vec<(usize, Monitor)> = Vec::new();
+    let mut root_monitors: Vec<(usize, Monitor)> = Vec::new();
     let mut storages: Vec<Storage> = Vec::with_capacity(nch);
     let (mut stage_visits, mut mux_ticks) = (0u64, 0u64);
-    for hw in channels_hw {
+    for (c, hw) in channels_hw.into_iter().enumerate() {
         stage_visits += hw.stage_visits;
         mux_ticks += hw.mux_ticks;
-        leaf_monitors.extend(hw.leaf_monitors);
-        root_monitors.extend(hw.root_monitor);
+        leaf_monitors.extend(hw.plan.members.iter().copied().zip(hw.leaf_monitors));
+        root_monitors.extend(hw.root_monitor.map(|m| (c, m)));
         storages.push(hw.adapter.into_storage());
     }
     if let Some(p) = probe {
-        p.monitors = leaf_monitors;
-        p.roots = root_monitors;
+        (p.monitor_requestors, p.monitors) = leaf_monitors.into_iter().unzip();
+        (p.root_channels, p.roots) = root_monitors.into_iter().unzip();
         p.downstream = None;
         // Digest over the composed windows — every window read from its
         // owning channel's storage, gaps zero: the layout a single

@@ -3,16 +3,15 @@
 //!
 //! The event-driven scheduler ([`axi_pack::SchedMode::Event`]) may
 //! fast-forward across provably idle spans, but nothing observable is
-//! allowed to change: completion cycles, the final backing store, every
-//! report counter and every utilization ratio must match a lockstep run
-//! exactly. This suite replays every [`SEED_CORPUS`] entry solo on all
-//! three system kinds and as a 2-requestor shared-bus topology, once per
-//! mode, and compares everything.
+//! allowed to change: the final backing store and the whole report must
+//! match a lockstep run exactly. This suite replays every [`SEED_CORPUS`]
+//! entry solo on all three system kinds and as a 2-requestor shared-bus
+//! topology, once per mode, and compares everything through
+//! [`lockstep_divergence`].
 
-use axi_pack::differential::SEED_CORPUS;
+use axi_pack::differential::{lockstep_divergence, SEED_CORPUS};
 use axi_pack::{
-    run_kernel_probed, run_system_probed, Requestor, RunProbe, RunReport, SchedMode, SystemConfig,
-    Topology,
+    run_kernel_probed, run_system_probed, Requestor, RunProbe, SchedMode, SystemConfig, Topology,
 };
 use vproc::SystemKind;
 use workloads::synth;
@@ -24,46 +23,6 @@ fn system(kind: SystemKind, sched: SchedMode) -> SystemConfig {
     sys.max_cycles = 20_000_000;
     sys.sched = sched;
     sys
-}
-
-/// Panics on the first field where the two reports differ. Floats are
-/// compared by bit pattern: the oracle demands exactness, not tolerance.
-fn assert_reports_identical(ev: &RunReport, lk: &RunReport, ctx: &str) {
-    assert_eq!(ev.cycles, lk.cycles, "{ctx}: cycles");
-    assert_eq!(ev.r_util.to_bits(), lk.r_util.to_bits(), "{ctx}: r_util");
-    assert_eq!(
-        ev.r_util_no_idx.to_bits(),
-        lk.r_util_no_idx.to_bits(),
-        "{ctx}: r_util_no_idx"
-    );
-    assert_eq!(ev.r_busy.to_bits(), lk.r_busy.to_bits(), "{ctx}: r_busy");
-    assert_eq!(
-        ev.data_mismatches, lk.data_mismatches,
-        "{ctx}: data_mismatches"
-    );
-    assert_eq!(
-        ev.ar_stall_cycles, lk.ar_stall_cycles,
-        "{ctx}: ar_stall_cycles"
-    );
-    assert_eq!(
-        ev.w_stall_cycles, lk.w_stall_cycles,
-        "{ctx}: w_stall_cycles"
-    );
-    assert_eq!(
-        ev.bank_conflicts, lk.bank_conflicts,
-        "{ctx}: bank_conflicts"
-    );
-    assert_eq!(ev.activity, lk.activity, "{ctx}: activity");
-    assert_eq!(
-        ev.power_mw.to_bits(),
-        lk.power_mw.to_bits(),
-        "{ctx}: power_mw"
-    );
-    assert_eq!(
-        ev.energy_uj.to_bits(),
-        lk.energy_uj.to_bits(),
-        "{ctx}: energy_uj"
-    );
 }
 
 #[test]
@@ -87,14 +46,10 @@ fn corpus_solo_runs_agree_across_modes() {
             )
             .unwrap_or_else(|e| panic!("{ctx}: lockstep run failed: {e}"));
             assert_eq!(
-                lk_probe.sched.skip_spans, 0,
-                "{ctx}: lockstep mode must never fast-forward"
+                lockstep_divergence(&ev, &ev_probe, &lk, &lk_probe),
+                None,
+                "{ctx}"
             );
-            assert_eq!(
-                ev_probe.storage_digest, lk_probe.storage_digest,
-                "{ctx}: final memory differs between modes"
-            );
-            assert_reports_identical(&ev, &lk, &ctx);
             skipped += ev_probe.sched.skipped_cycles;
         }
     }
@@ -129,33 +84,11 @@ fn corpus_topologies_agree_across_modes() {
         };
         let (ev, ev_probe) = run(SchedMode::Event);
         let (lk, lk_probe) = run(SchedMode::Lockstep);
-        let ctx = format!("seed {} shared-bus", case.seed);
         assert_eq!(
-            lk_probe.sched.skip_spans, 0,
-            "{ctx}: lockstep mode must never fast-forward"
+            lockstep_divergence(&ev, &ev_probe, &lk, &lk_probe),
+            None,
+            "seed {} shared-bus",
+            case.seed
         );
-        assert_eq!(ev.cycles, lk.cycles, "{ctx}: completion cycles");
-        assert_eq!(
-            ev_probe.storage_digest, lk_probe.storage_digest,
-            "{ctx}: shared store differs between modes"
-        );
-        assert_eq!(
-            ev.bus_r_busy.to_bits(),
-            lk.bus_r_busy.to_bits(),
-            "{ctx}: bus_r_busy"
-        );
-        assert_eq!(
-            ev.bus_r_util.to_bits(),
-            lk.bus_r_util.to_bits(),
-            "{ctx}: bus_r_util"
-        );
-        assert_eq!(
-            ev.bank_conflicts, lk.bank_conflicts,
-            "{ctx}: bank_conflicts"
-        );
-        assert_eq!(ev.word_accesses, lk.word_accesses, "{ctx}: word_accesses");
-        for (r, (e, l)) in ev.requestors.iter().zip(&lk.requestors).enumerate() {
-            assert_reports_identical(e, l, &format!("{ctx}, requestor {r}"));
-        }
     }
 }

@@ -128,10 +128,10 @@ fn two_requestors_share_one_packed_endpoint() {
     // strided bursts, one issuing indirect bursts — share a single
     // AXI-Pack controller through an ID-remapping mux, and both get
     // exactly their own data back.
-    use axi_proto::AxiMux;
+    use axi_proto::{AxiMux, LOCAL_ID_BITS};
     let bus = BusConfig::new(256);
     let (mut adapter, mut down, _) = system();
-    let mut mux = AxiMux::new(2);
+    let mut mux = AxiMux::cascade(2, LOCAL_ID_BITS);
     let mut mgrs = vec![AxiChannels::new(), AxiChannels::new()];
     // Manager 0: every 3rd word from 0x400. Manager 1: gather through the
     // index array at 0x10000.

@@ -4,8 +4,10 @@
 //! the predicted number of cycles in one span, and a fully-saturated
 //! kernel (back-to-back loads keeping the bus busy) must skip nothing —
 //! event mode degenerates to exact lockstep when there is no idle time.
+//! Every run is replayed in lockstep and must match it exactly.
 
-use axi_pack::{run_kernel_probed, RunProbe, SchedMode, SystemConfig};
+use axi_pack::differential::lockstep_divergence;
+use axi_pack::{run_kernel_probed, RunProbe, RunReport, SchedMode, SystemConfig};
 use std::sync::Arc;
 use vproc::{Program, ProgramBuilder, SystemKind};
 use workloads::Kernel;
@@ -22,12 +24,23 @@ fn kernel(name: &str, program: Program) -> Kernel {
     }
 }
 
-fn run(kind: SystemKind, sched: SchedMode, k: &Kernel) -> (u64, RunProbe) {
-    let mut sys = SystemConfig::with_bus(kind, 256);
-    sys.sched = sched;
-    let mut probe = RunProbe::default();
-    let report = run_kernel_probed(&sys, k, &mut probe).expect("kernel runs clean");
-    (report.cycles, probe)
+/// Runs `k` on `kind` in both scheduler modes, demands that the lockstep
+/// replay match the event-mode run exactly, and returns the event run.
+fn run(kind: SystemKind, k: &Kernel) -> (RunReport, RunProbe) {
+    let [(ev, ev_probe), (lk, lk_probe)] = [SchedMode::Event, SchedMode::Lockstep].map(|sched| {
+        let mut sys = SystemConfig::with_bus(kind, 256);
+        sys.sched = sched;
+        let mut probe = RunProbe::default();
+        let report = run_kernel_probed(&sys, k, &mut probe).expect("kernel runs clean");
+        (report, probe)
+    });
+    assert_eq!(
+        lockstep_divergence(&ev, &ev_probe, &lk, &lk_probe),
+        None,
+        "{kind} on {}",
+        k.name
+    );
+    (ev, ev_probe)
 }
 
 #[test]
@@ -37,13 +50,10 @@ fn sparse_kernel_skips_the_predicted_span() {
     // both the AXI and the IDEAL run loop.
     let k = kernel("sparse", ProgramBuilder::new().scalar(101).build());
     for kind in [SystemKind::Pack, SystemKind::Base, SystemKind::Ideal] {
-        let (ev_cycles, ev) = run(kind, SchedMode::Event, &k);
-        let (lk_cycles, lk) = run(kind, SchedMode::Lockstep, &k);
-        assert_eq!(ev_cycles, lk_cycles, "{kind}: modes disagree on cycles");
-        assert_eq!(ev_cycles, 101, "{kind}: issue tick + 100 stall cycles");
+        let (report, ev) = run(kind, &k);
+        assert_eq!(report.cycles, 101, "{kind}: issue tick + 100 stall cycles");
         assert_eq!(ev.sched.skipped_cycles, 100, "{kind}: skipped cycles");
         assert_eq!(ev.sched.skip_spans, 1, "{kind}: one contiguous span");
-        assert_eq!(lk.sched.skip_spans, 0, "{kind}: lockstep never skips");
     }
 }
 
@@ -51,7 +61,7 @@ fn sparse_kernel_skips_the_predicted_span() {
 fn interleaved_stalls_skip_every_gap() {
     // Alternating stalls and loads: every stall is skippable, every load
     // phase is not. The skip count is the sum of the provable gaps and
-    // the cycle count still matches lockstep exactly.
+    // the report still matches lockstep exactly.
     let k = kernel(
         "gaps",
         ProgramBuilder::new()
@@ -64,9 +74,7 @@ fn interleaved_stalls_skip_every_gap() {
             .build(),
     );
     for kind in [SystemKind::Pack, SystemKind::Ideal] {
-        let (ev_cycles, ev) = run(kind, SchedMode::Event, &k);
-        let (lk_cycles, _) = run(kind, SchedMode::Lockstep, &k);
-        assert_eq!(ev_cycles, lk_cycles, "{kind}: modes disagree on cycles");
+        let (_, ev) = run(kind, &k);
         assert!(
             ev.sched.skip_spans >= 3,
             "{kind}: each scalar gap must fast-forward (got {} spans)",
@@ -91,9 +99,7 @@ fn saturated_kernel_never_skips() {
     }
     let k = kernel("saturated", b.build());
     for kind in [SystemKind::Pack, SystemKind::Base, SystemKind::Ideal] {
-        let (ev_cycles, ev) = run(kind, SchedMode::Event, &k);
-        let (lk_cycles, _) = run(kind, SchedMode::Lockstep, &k);
-        assert_eq!(ev_cycles, lk_cycles, "{kind}: modes disagree on cycles");
+        let (_, ev) = run(kind, &k);
         assert_eq!(
             ev.sched.skip_spans, 0,
             "{kind}: a saturated pipeline has no idle span to skip"

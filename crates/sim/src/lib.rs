@@ -63,32 +63,5 @@ pub use fault::{FaultReport, FaultSpec, HangComponent, HangReport, SiteSchedule}
 pub use fifo::Fifo;
 pub use pipeline::Pipeline;
 pub use sched::Wake;
-pub use stats::{Counter, Histogram, Utilization};
+pub use stats::{Histogram, Utilization};
 pub use sweep::{PointCtx, SweepSpec};
-
-/// A simulation cycle index.
-///
-/// A plain `u64` newtype so cycle counts cannot be confused with element
-/// counts, addresses, or byte sizes in interfaces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Cycle(pub u64);
-
-impl Cycle {
-    /// Advances the cycle counter by one.
-    #[inline]
-    pub fn advance(&mut self) {
-        self.0 += 1;
-    }
-}
-
-impl std::fmt::Display for Cycle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "cycle {}", self.0)
-    }
-}
-
-impl From<u64> for Cycle {
-    fn from(v: u64) -> Self {
-        Cycle(v)
-    }
-}

@@ -1,61 +1,7 @@
-//! Simulation statistics: event counters and channel-utilization trackers.
+//! Simulation statistics: channel-utilization trackers and histograms.
 //!
 //! [`Utilization`] implements the paper's headline metric — R-channel
 //! payload bytes over theoretical bus bytes (Fig. 3a, Fig. 5a/5b).
-
-/// A saturating event counter with a human-readable name.
-///
-/// # Examples
-///
-/// ```
-/// use simkit::Counter;
-///
-/// let mut beats = Counter::new("r_beats");
-/// beats.add(3);
-/// beats.inc();
-/// assert_eq!(beats.value(), 4);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Counter {
-    name: &'static str,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new(name: &'static str) -> Self {
-        Counter { name, value: 0 }
-    }
-
-    /// Increments by one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.value += 1;
-    }
-
-    /// Increments by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current count.
-    #[inline]
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// Counter name, for reports.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-}
-
-impl std::fmt::Display for Counter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} = {}", self.name, self.value)
-    }
-}
 
 /// Tracks how many cycles a channel carried useful data.
 ///
@@ -171,15 +117,6 @@ impl Utilization {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new("x");
-        c.inc();
-        c.add(9);
-        assert_eq!(c.value(), 10);
-        assert_eq!(c.to_string(), "x = 10");
-    }
 
     #[test]
     fn utilization_distinguishes_busy_and_payload() {
