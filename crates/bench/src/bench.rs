@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use axi_pack::{run_kernel, CacheSetup, SchedMode, SystemConfig};
+use axi_pack::{run_kernel, SchedMode, SystemConfig};
 use vproc::{ProgramBuilder, SystemKind};
 use workloads::{ismt, Kernel};
 
@@ -30,12 +30,6 @@ pub const MAX_REGRESSION: f64 = 0.25;
 /// `--check` to pass. A same-host ratio, so it holds across machines;
 /// the measured value sits well above this floor.
 pub const SPARSE_SPEEDUP_FLOOR: f64 = 3.0;
-
-/// Minimum warm-over-cold speedup the result-cache probe must show for
-/// `--check` to pass. Same-host ratio like the sparse floor; a warm
-/// render pays only key hashing + blob decoding, so the measured value
-/// sits far above this collapse detector.
-pub const CACHE_WARM_SPEEDUP_FLOOR: f64 = 3.0;
 
 /// Maximum relative slowdown the *armed-but-silent* fault hooks may
 /// cost over the no-spec hot path for `--check` to pass. Same-host
@@ -76,12 +70,6 @@ pub struct BenchResult {
     /// now gated by `figures bench --check` so any further drop is a
     /// loud failure, not a silent one.
     pub fuzz_scenarios_per_sec: f64,
-    /// Wall-clock of one representative figure family (fig3a) rendered
-    /// against a fresh, empty result cache — the cold serving path.
-    pub cache_cold_s: f64,
-    /// The same family re-rendered immediately after, served entirely
-    /// from the cache — the warm serving path.
-    pub cache_warm_s: f64,
     /// Relative cost of arming a silent fault plan plus the progress
     /// watchdog on the dense probe ([`fault_overhead_probe`]): 0.01 =
     /// the hooks cost 1 % of the fault-free throughput. Clamped at 0.
@@ -99,12 +87,6 @@ impl BenchResult {
     pub fn sparse_event_speedup(&self) -> f64 {
         self.sparse_cycles_per_sec / self.sparse_cycles_per_sec_lockstep
     }
-
-    /// Warm-over-cold speedup of the result-cache probe — the headline
-    /// gain of the serving layer.
-    pub fn cache_warm_speedup(&self) -> f64 {
-        self.cache_cold_s / self.cache_warm_s
-    }
 }
 
 /// Renders every figure family once at `scale`, timing each, then runs
@@ -120,7 +102,6 @@ pub fn run(scale: Scale) -> BenchResult {
         families.push((fig.name, dt));
         total += dt;
     }
-    let (cache_cold_s, cache_warm_s) = cache_probe(scale);
     BenchResult {
         families,
         total_s: total,
@@ -129,18 +110,16 @@ pub fn run(scale: Scale) -> BenchResult {
         sparse_cycles_per_sec: sparse_cycles_per_sec_probe(scale, SchedMode::Event),
         sparse_cycles_per_sec_lockstep: sparse_cycles_per_sec_probe(scale, SchedMode::Lockstep),
         fuzz_scenarios_per_sec: crate::fuzz::fuzz_scenarios_per_sec(),
-        cache_cold_s,
-        cache_warm_s,
         fault_overhead: fault_overhead_probe(scale),
         scale_128_requestors_s: scale_128_probe(scale),
     }
 }
 
 /// Times one 128-requestor PACK point end to end (topology build +
-/// fabric run), uncached: the figure-family loop above amortizes the
-/// whole scale sweep into one number, while this probe isolates the
-/// single deepest point — 128 leaves through a 3-level arity-4 mux
-/// cascade onto four row-buffered channels.
+/// fabric run): the figure-family loop above amortizes the whole scale
+/// sweep into one number, while this probe isolates the single deepest
+/// point — 128 leaves through a 3-level arity-4 mux cascade onto four
+/// row-buffered channels.
 pub fn scale_128_probe(scale: Scale) -> f64 {
     use axi_pack::{run_system, Requestor, Topology};
     use workloads::{gemv, Dataflow};
@@ -194,29 +173,6 @@ pub fn fault_overhead_probe(scale: Scale) -> f64 {
         })
         .fold(f64::INFINITY, f64::min)
         .max(0.0)
-}
-
-/// Times one representative figure family (fig3a) cold then warm
-/// against a private throwaway cache directory. The family-timing loop
-/// above runs uncached (no cache is installed during `figures bench`),
-/// so `total_s` keeps measuring the simulator, not the cache; this
-/// probe measures the serving layer explicitly and asserts the warm
-/// tables are identical to the cold ones.
-pub fn cache_probe(scale: Scale) -> (f64, f64) {
-    let dir = std::env::temp_dir().join(format!("axi-pack-bench-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let fig = figures::find("fig3a").expect("fig3a is registered");
-    axi_pack::cache::install(&CacheSetup::new(&dir));
-    let t0 = Instant::now();
-    let cold = (fig.render)(scale);
-    let cold_s = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let warm = (fig.render)(scale);
-    let warm_s = t1.elapsed().as_secs_f64();
-    axi_pack::cache::uninstall();
-    assert_eq!(cold, warm, "warm cache render diverged from cold");
-    let _ = std::fs::remove_dir_all(&dir);
-    (cold_s, warm_s)
 }
 
 /// Times `kernel` on `cfg`: one warm-up, then a few repetitions, in
@@ -323,19 +279,11 @@ pub fn to_json(scale: Scale, result: &BenchResult) -> String {
         result.fuzz_scenarios_per_sec
     )
     .unwrap();
-    writeln!(w, "  \"cache_cold_s\": {:.4},", result.cache_cold_s).unwrap();
-    writeln!(w, "  \"cache_warm_s\": {:.4},", result.cache_warm_s).unwrap();
     writeln!(w, "  \"fault_overhead\": {:.4},", result.fault_overhead).unwrap();
     writeln!(
         w,
-        "  \"scale_128_requestors_s\": {:.4},",
+        "  \"scale_128_requestors_s\": {:.4}",
         result.scale_128_requestors_s
-    )
-    .unwrap();
-    writeln!(
-        w,
-        "  \"cache_warm_speedup\": {:.1}",
-        result.cache_warm_speedup()
     )
     .unwrap();
     writeln!(w, "}}").unwrap();
@@ -379,19 +327,14 @@ mod tests {
             sparse_cycles_per_sec: 400000.0,
             sparse_cycles_per_sec_lockstep: 100000.0,
             fuzz_scenarios_per_sec: 42.5,
-            cache_cold_s: 0.08,
-            cache_warm_s: 0.002,
             fault_overhead: 0.012,
             scale_128_requestors_s: 0.31,
         };
         let json = to_json(Scale::Smoke, &r);
         assert_eq!(parse_number(&json, "total_s"), Some(0.99));
         assert_eq!(parse_number(&json, "fuzz_scenarios_per_sec"), Some(42.5));
-        assert_eq!(parse_number(&json, "cache_cold_s"), Some(0.08));
-        assert_eq!(parse_number(&json, "cache_warm_s"), Some(0.002));
         assert_eq!(parse_number(&json, "fault_overhead"), Some(0.012));
         assert_eq!(parse_number(&json, "scale_128_requestors_s"), Some(0.31));
-        assert_eq!(parse_number(&json, "cache_warm_speedup"), Some(40.0));
         // The exact key must not be confused with its prefixed variants.
         assert_eq!(parse_number(&json, "cycles_per_sec"), Some(123456.0));
         assert_eq!(
@@ -418,8 +361,6 @@ mod tests {
             sparse_cycles_per_sec: 1.0,
             sparse_cycles_per_sec_lockstep: 1.0,
             fuzz_scenarios_per_sec: 1.0,
-            cache_cold_s: 1.0,
-            cache_warm_s: 1.0,
             fault_overhead: 0.0,
             scale_128_requestors_s: 1.0,
         };

@@ -87,25 +87,13 @@ fn usage() -> ! {
          \x20                          slower, bit-identical results)\n\
          \x20 --threads N              sweep worker threads (default: {} or all cores)\n\
          \x20 --out DIR                CSV/JSON output directory (default: figures-out)\n\
-         \x20 --no-files               print tables only, write nothing\n\
-         \n\
-         cache options (figure families, all, sweep, kernel):\n\
-         \x20 --cache-dir DIR          result-cache directory (default: $AXI_PACK_CACHE\n\
-         \x20                          or .axi-pack-cache)\n\
-         \x20 --no-cache               compute everything; never read or write the cache\n\
-         \x20 --verify-cache           recompute a deterministic sample of cache hits and\n\
-         \x20                          byte-compare; any mismatch fails the run\n\
-         \x20 --shard I/N              compute only the grid points whose key digest\n\
-         \x20                          lands in shard I of N (output is discarded; the\n\
-         \x20                          shard fills the shared cache + a manifest)\n\
-         \x20 --resume                 skip points already checkpointed in this shard's\n\
-         \x20                          manifest (requires --shard)\n\
-         \x20 --shard-budget K         stop computing after K points (crash-simulation\n\
-         \x20                          hook for the resume protocol; requires --shard)\n\
+         \x20 --no-files               write no CSV/JSON output (`bench`: no\n\
+         \x20                          BENCH_hotpath.json); `all` still writes\n\
+         \x20                          EXPERIMENTS.md\n\
          \n\
          figure/all options:\n\
          \x20 --check                  regenerate at N threads and serial, verify they\n\
-         \x20                          match, write nothing (CI mode; never cached)\n\
+         \x20                          match, write nothing (CI mode)\n\
          \x20 --compare-serial         (`all` only) also time a serial run; record\n\
          \x20                          both wall-clocks\n\
          \n\
@@ -129,31 +117,11 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1);
 }
 
-/// Result-cache controls shared by the cacheable subcommands.
-struct CacheOpts {
-    enabled: bool,
-    dir: Option<PathBuf>,
-    shard: Option<axi_pack::ShardSpec>,
-    resume: bool,
-    verify: bool,
-    budget: Option<u64>,
-}
-
-impl CacheOpts {
-    /// True when any cache-specific behavior beyond the always-on
-    /// default was requested — used to reject these flags on
-    /// subcommands that never cache (`bench`, `fuzz`, `drc`).
-    fn any_special(&self) -> bool {
-        self.shard.is_some() || self.resume || self.verify || self.budget.is_some()
-    }
-}
-
 /// Options shared by every subcommand.
 struct Common {
     scale: Scale,
     out_dir: PathBuf,
     write_files: bool,
-    cache: CacheOpts,
     rest: Vec<String>,
 }
 
@@ -161,14 +129,6 @@ fn parse_common(args: Vec<String>) -> Common {
     let mut scale = Scale::Paper;
     let mut out_dir = PathBuf::from("figures-out");
     let mut write = true;
-    let mut cache = CacheOpts {
-        enabled: true,
-        dir: None,
-        shard: None,
-        resume: false,
-        verify: false,
-        budget: None,
-    };
     let mut rest = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -187,91 +147,15 @@ fn parse_common(args: Vec<String>) -> Common {
                 // Read by `simkit::sweep::thread_count` at each sweep.
                 std::env::set_var(THREADS_ENV, n.to_string());
             }
-            "--no-cache" => cache.enabled = false,
-            "--cache-dir" => {
-                cache.dir = Some(PathBuf::from(it.next().unwrap_or_else(|| usage())));
-            }
-            "--verify-cache" => cache.verify = true,
-            "--shard" => {
-                let spec = it.next().unwrap_or_else(|| usage());
-                cache.shard = Some(
-                    axi_pack::ShardSpec::parse(&spec)
-                        .unwrap_or_else(|| fail(&format!("bad --shard {spec} (expected I/N)"))),
-                );
-            }
-            "--resume" => cache.resume = true,
-            "--shard-budget" => {
-                cache.budget = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
             "--help" | "-h" => usage(),
             _ => rest.push(a),
         }
-    }
-    if !cache.enabled && cache.any_special() {
-        fail("--no-cache cannot be combined with --shard/--resume/--verify-cache/--shard-budget");
-    }
-    if (cache.resume || cache.budget.is_some()) && cache.shard.is_none() {
-        fail("--resume and --shard-budget require --shard I/N");
     }
     Common {
         scale,
         out_dir,
         write_files: write,
-        cache,
         rest,
-    }
-}
-
-/// Installs the result cache for a cacheable subcommand; `tag` names
-/// the shard manifest (family + scale). Returns the handle so the
-/// caller can print stats and check verification.
-fn install_cache(c: &Common, tag: &str) -> Option<std::sync::Arc<axi_pack::RunCache>> {
-    if !c.cache.enabled {
-        return None;
-    }
-    let mut setup = axi_pack::CacheSetup::new(
-        c.cache
-            .dir
-            .clone()
-            .unwrap_or_else(axi_pack::cache::default_dir),
-    );
-    setup.shard = c.cache.shard;
-    setup.resume = c.cache.resume;
-    setup.verify = c.cache.verify;
-    setup.compute_budget = c.cache.budget;
-    setup.manifest_tag = Some(format!("{tag}-{:?}", c.scale).to_lowercase());
-    Some(axi_pack::cache::install(&setup))
-}
-
-/// Prints the cache stats line, fails the process on any verification
-/// mismatch, and uninstalls.
-fn finish_cache(rc: Option<std::sync::Arc<axi_pack::RunCache>>) {
-    let Some(rc) = rc else { return };
-    println!("{}", rc.stats_line());
-    axi_pack::cache::uninstall();
-    if rc.verify_failures() > 0 {
-        fail(&format!(
-            "cache verification failed on {} of {} sampled hits — stored blobs \
-             differ from recomputation",
-            rc.verify_failures(),
-            rc.verified()
-        ));
-    }
-}
-
-/// Rejects cache-control flags on subcommands that never consult the
-/// cache (`bench` times the real simulator, `fuzz` is the differential
-/// oracle, `drc` runs no simulation).
-fn reject_cache_flags(c: &Common, sub: &str) {
-    if c.cache.any_special() {
-        fail(&format!(
-            "`{sub}` never uses the result cache; --shard/--resume/--verify-cache/\
-             --shard-budget do not apply"
-        ));
     }
 }
 
@@ -330,14 +214,6 @@ fn cmd_figure(fig: &figures::Figure, c: &Common) {
             other => fail(&format!("unknown flag {other} for `{}`", fig.name)),
         }
     }
-    if check && c.cache.any_special() {
-        fail("--check regenerates uncached; drop --shard/--resume/--verify-cache");
-    }
-    let rc = if check {
-        None
-    } else {
-        install_cache(c, fig.name)
-    };
     let threads = simkit::sweep::thread_count(None);
     let t0 = Instant::now();
     let tables = (fig.render)(c.scale);
@@ -355,31 +231,9 @@ fn cmd_figure(fig: &figures::Figure, c: &Common) {
         );
         return;
     }
-    if let Some(rc) = &rc {
-        if let Some(shard) = rc.shard() {
-            // Shard mode: foreign points rendered as placeholders, so
-            // the tables are meaningless — the product is the filled
-            // cache + manifest, not output files.
-            println!(
-                "figures {} --shard {}/{}: {} computed, {} hits, {} foreign, \
-                 {} resumed, {} deferred ({elapsed:.2} s)",
-                fig.name,
-                shard.index,
-                shard.total,
-                rc.computed(),
-                rc.hits(),
-                rc.foreign_skips(),
-                rc.resumed_skips(),
-                rc.budget_skips()
-            );
-            finish_cache(Some(rc.clone()));
-            return;
-        }
-    }
     print_tables(fig.title, &tables);
     println!("\n[{elapsed:.2} s on {threads} worker thread(s)]");
     emit(c, fig.name, &tables);
-    finish_cache(rc);
 }
 
 fn cmd_all(c: &Common) {
@@ -392,37 +246,11 @@ fn cmd_all(c: &Common) {
             other => fail(&format!("unknown flag {other} for `all`")),
         }
     }
-    if (check || compare_serial) && c.cache.any_special() {
-        fail("--check/--compare-serial regenerate uncached; drop --shard/--resume/--verify-cache");
-    }
-    let rc = if check || compare_serial {
-        None
-    } else {
-        install_cache(c, "all")
-    };
     let threads = simkit::sweep::thread_count(None);
     let t0 = Instant::now();
     let (body, tables) = experiments::render_body(c.scale);
     let elapsed = t0.elapsed().as_secs_f64();
-
-    if let Some(rc) = &rc {
-        if let Some(shard) = rc.shard() {
-            println!(
-                "figures all --shard {}/{}: {} computed, {} hits, {} foreign, \
-                 {} resumed, {} deferred ({elapsed:.2} s)",
-                shard.index,
-                shard.total,
-                rc.computed(),
-                rc.hits(),
-                rc.foreign_skips(),
-                rc.resumed_skips(),
-                rc.budget_skips()
-            );
-            finish_cache(Some(rc.clone()));
-            return;
-        }
-    }
-    if check || compare_serial {
+    let wallclock = if check || compare_serial {
         let serial_elapsed = check_serial(threads, "`all`", &body, || {
             experiments::render_body(c.scale).0
         });
@@ -434,17 +262,15 @@ fn cmd_all(c: &Common) {
             );
             return;
         }
-        let wallclock = format!(
+        format!(
             "_Wall-clock: {elapsed:.2} s on {threads} worker thread(s) vs {serial_elapsed:.2} s \
              serial ({:.2}× speedup)._",
             serial_elapsed / elapsed
-        );
-        finish_all(c, &body, &tables, &wallclock);
-        return;
-    }
-    let wallclock = format!("_Wall-clock: {elapsed:.2} s on {threads} worker thread(s)._");
+        )
+    } else {
+        format!("_Wall-clock: {elapsed:.2} s on {threads} worker thread(s)._")
+    };
     finish_all(c, &body, &tables, &wallclock);
-    finish_cache(rc);
 }
 
 fn finish_all(c: &Common, body: &str, tables: &[(&'static str, Vec<Table>)], wallclock: &str) {
@@ -464,10 +290,6 @@ fn finish_all(c: &Common, body: &str, tables: &[(&'static str, Vec<Table>)], wal
 /// `figures bench`: time every figure family, write (or in `--check`
 /// mode, gate against) the committed `BENCH_hotpath.json` baseline.
 fn cmd_bench(c: &Common) {
-    // `bench` times the real simulator: the family loop runs uncached
-    // (a cache hit would fake the wall-clocks), and the serving layer
-    // is measured explicitly by the cold/warm cache probe instead.
-    reject_cache_flags(c, "bench");
     let mut check = false;
     let mut baseline = PathBuf::from("BENCH_hotpath.json");
     let mut it = c.rest.clone().into_iter();
@@ -498,12 +320,6 @@ fn cmd_bench(c: &Common) {
     println!(
         "  fuzz       {:>8.1} differential scenarios/s",
         result.fuzz_scenarios_per_sec
-    );
-    println!(
-        "  cache      {:>8.4} s cold / {:.4} s warm on fig3a ({:.0}x warm speedup)",
-        result.cache_cold_s,
-        result.cache_warm_s,
-        result.cache_warm_speedup()
     );
     println!(
         "  fault      {:>8.1} % overhead of armed-silent fault hooks on the dense probe",
@@ -610,17 +426,6 @@ fn cmd_bench(c: &Common) {
                 ));
             }
         }
-        // The serving layer's warm path must stay collapse-free: a
-        // same-host cold/warm ratio, gated like the sparse speedup.
-        let warm_speedup = result.cache_warm_speedup();
-        if warm_speedup < bench::CACHE_WARM_SPEEDUP_FLOOR {
-            fail(&format!(
-                "cache warm speedup collapsed: {:.1}x, below the {:.0}x floor the \
-                 result cache promises",
-                warm_speedup,
-                bench::CACHE_WARM_SPEEDUP_FLOOR
-            ));
-        }
         // The robustness hooks must stay free when disarmed: a same-host
         // back-to-back ratio (fault-free vs armed-silent dense probe),
         // gated against the fixed budget — deliberately NOT widened by
@@ -673,9 +478,6 @@ fn cmd_bench(c: &Common) {
 /// the differential engine; print one repro line per failing seed and
 /// exit non-zero if anything failed.
 fn cmd_fuzz(c: &Common) {
-    // The fuzzer IS the thing the cache must never short-circuit: its
-    // lockstep oracle re-simulates every scenario with probes attached.
-    reject_cache_flags(c, "fuzz");
     let mut spec = FuzzSpec::default();
     let mut corpus = false;
     let mut it = c.rest.clone().into_iter();
@@ -748,9 +550,6 @@ fn cmd_fuzz(c: &Common) {
 /// the fault-injection engine; print one repro line per failing seed and
 /// exit non-zero if anything failed.
 fn cmd_chaos(c: &Common) {
-    // Fault-armed runs bypass the result cache by design; the baselines
-    // inside each seed are probed, so nothing here is cacheable either.
-    reject_cache_flags(c, "chaos");
     let mut spec = ChaosSpec::default();
     let mut corpus = false;
     let mut it = c.rest.clone().into_iter();
@@ -826,7 +625,6 @@ fn cmd_chaos(c: &Common) {
 /// and pretty-print one report per topology. Exits non-zero on any
 /// error-severity diagnostic — the CI gate mode.
 fn cmd_drc(c: &Common) {
-    reject_cache_flags(c, "drc");
     let mut targets: Vec<&'static drc::DrcTarget> = Vec::new();
     let mut verbose = false;
     let mut it = c.rest.clone().into_iter();
@@ -975,10 +773,6 @@ fn cmd_sweep(c: &Common) {
             other => fail(&format!("unknown sweep flag {other}")),
         }
     }
-    if c.cache.shard.is_some() || c.cache.resume || c.cache.budget.is_some() {
-        fail("`sweep` takes --no-cache/--cache-dir/--verify-cache only; --shard/--resume/--shard-budget apply to figure families");
-    }
-    let rc = install_cache(c, "sweep");
     let t0 = Instant::now();
     let table = if !ews.is_empty() {
         if !kernels.is_empty() {
@@ -1040,7 +834,6 @@ fn cmd_sweep(c: &Common) {
         simkit::sweep::thread_count(None)
     );
     emit(c, "sweep", &[table]);
-    finish_cache(rc);
 }
 
 fn cmd_kernel(c: &Common) {
@@ -1075,11 +868,7 @@ fn cmd_kernel(c: &Common) {
             KERNEL_NAMES.join("/")
         ));
     }
-    if c.cache.shard.is_some() || c.cache.resume || c.cache.budget.is_some() {
-        fail("`kernel` takes --no-cache/--cache-dir/--verify-cache only; --shard/--resume/--shard-budget apply to figure families");
-    }
     let (cfg, kernel) = p.build().unwrap_or_else(|e| fail(&e));
-    let rc = install_cache(c, "kernel");
     match axi_pack::run_kernel(&cfg, &kernel) {
         Ok(report) => {
             println!("{report}");
@@ -1087,14 +876,7 @@ fn cmd_kernel(c: &Common) {
                 "  bank conflicts: {}, useful bytes: {}, energy: {:.2} uJ",
                 report.bank_conflicts, kernel.useful_bytes, report.energy_uj
             );
-            if rc.as_ref().is_some_and(|r| r.hits() > 0) {
-                println!(
-                    "  report served from the result cache (scalar check ran when first computed)"
-                );
-            } else {
-                println!("  functional result verified against the scalar reference");
-            }
-            finish_cache(rc);
+            println!("  functional result verified against the scalar reference");
         }
         Err(e) => fail(&format!("run failed: {e}")),
     }

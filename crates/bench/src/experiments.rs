@@ -58,10 +58,10 @@ pub fn preamble(scale: Scale, wallclock: Option<&str>) -> String {
     .unwrap();
     writeln!(
         w,
-        "Simulator performance: on one 2-core host, an uncached paper-scale \
-         regeneration (`figures all --no-cache`, 2 worker threads) took a median \
-         4.07 s (3.24–5.21 s) before the controller's banks accessed at grant and \
-         its lane masks drove the port mux, and takes 3.19 s (2.79–4.24 s) since: \
+        "Simulator performance: on one 2-core host, a paper-scale regeneration \
+         (`figures all`, 2 worker threads) took a median 4.07 s (3.24–5.21 s) \
+         before the controller's banks accessed at grant and its lane masks drove \
+         the port mux, and takes 3.19 s (2.79–4.24 s) since: \
          10 alternating runs each on a shared host, the change faster in all 10 \
          pairs. The tables below are byte-identical across that change. The smoke \
          baseline lives in `BENCH_hotpath.json` (`figures bench --smoke`); CI's \

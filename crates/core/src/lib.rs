@@ -47,7 +47,6 @@ pub mod report;
 pub mod requestor;
 pub mod system;
 
-pub use cache::{CacheSetup, RunCache, ShardSpec};
 pub use chaos::{check_chaos_seed, ChaosOutcome};
 pub use differential::{memory_digest, RunProbe, SchedProbe};
 pub use drc::{check_single, check_topology, Diagnostic, DrcReport, Rule, Severity};
@@ -75,6 +74,4 @@ const _: () = {
     assert_thread_safe::<Placement>();
     assert_thread_safe::<TopologyBuilder>();
     assert_thread_safe::<LevelOccupancy>();
-    // The installed result cache is shared across the same workers.
-    assert_thread_safe::<RunCache>();
 };

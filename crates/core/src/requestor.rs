@@ -116,34 +116,16 @@ pub fn strided_read_util(cfg: &SweepConfig, elem: ElemSize, stride: i32) -> f64 
 }
 
 /// R utilization of strided reads averaged across strides 0–63, as
-/// Fig. 5b reports. Served from the installed result cache when one is
-/// active (the 64 per-stride measurements collapse to one f64 blob).
+/// Fig. 5b reports.
 pub fn strided_read_util_avg(cfg: &SweepConfig, elem: ElemSize) -> f64 {
-    if let Some(rc) = crate::cache::active() {
-        let key = crate::cache::strided_avg_key(cfg, elem);
-        return rc.util_value(key, || strided_read_util_avg_uncached(cfg, elem));
-    }
-    strided_read_util_avg_uncached(cfg, elem)
-}
-
-fn strided_read_util_avg_uncached(cfg: &SweepConfig, elem: ElemSize) -> f64 {
     let total: f64 = (0..64).map(|s| strided_read_util(cfg, elem, s)).sum();
     total / 64.0
 }
 
 /// R utilization of continuous indirect reads with random indices at one
-/// element/index size pair (one point of Fig. 5a). Cache-aware like
-/// [`strided_read_util_avg`]: the seed is part of the key, so the
-/// randomized index stream stays deterministic per point.
+/// element/index size pair (one point of Fig. 5a). `seed` drives the
+/// random index stream, so each point is deterministic.
 pub fn indirect_read_util(cfg: &SweepConfig, elem: ElemSize, idx: IdxSize, seed: u64) -> f64 {
-    if let Some(rc) = crate::cache::active() {
-        let key = crate::cache::indirect_key(cfg, elem, idx, seed);
-        return rc.util_value(key, || indirect_read_util_uncached(cfg, elem, idx, seed));
-    }
-    indirect_read_util_uncached(cfg, elem, idx, seed)
-}
-
-fn indirect_read_util_uncached(cfg: &SweepConfig, elem: ElemSize, idx: IdxSize, seed: u64) -> f64 {
     let bus = BusConfig::new(cfg.bus_bits);
     let epb = bus.elems_per_beat(elem) as u32;
     let n_elems = BURST_BEATS * epb;

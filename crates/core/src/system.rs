@@ -200,13 +200,11 @@ pub struct SystemConfig {
     pub sched: SchedMode,
     /// Deterministic fault injection, `None` (the default) for clean
     /// runs. Installing a spec arms the bank, decode and mux grant sites
-    /// and the adapter's bounded retry recovery; runs with a spec
-    /// installed always bypass the result cache.
+    /// and the adapter's bounded retry recovery.
     pub fault: Option<FaultSpec>,
     /// Progress-watchdog window in cycles (0 disables it): when no
     /// real-work counter advances for a whole window the run aborts with
-    /// [`RunError::Hang`] instead of spinning to `max_cycles`. Excluded
-    /// from cache keys — a report-invariant knob like `sched`.
+    /// [`RunError::Hang`] instead of spinning to `max_cycles`.
     pub watchdog: u64,
 }
 
@@ -997,14 +995,7 @@ fn run_solo(
     kernel: &Kernel,
     probe: Option<&mut RunProbe>,
 ) -> Result<RunReport, RunError> {
-    let mut report = run_planned(
-        cfg,
-        &FabricSpec::flat(),
-        &[(cfg.kind, kernel)],
-        probe,
-        || crate::cache::single_run_key(cfg, cfg.kind, kernel),
-        || crate::cache::placeholder_single(cfg, cfg.kind, kernel),
-    )?;
+    let mut report = run_planned(cfg, &FabricSpec::flat(), &[(cfg.kind, kernel)], probe)?;
     // With nobody to isolate it from, a faulted solo is a typed abort.
     match report.outcomes.swap_remove(0) {
         RequestorOutcome::Faulted(fault) => Err(RunError::Axi(fault)),
@@ -1069,44 +1060,22 @@ pub fn run_system_probed(topo: &Topology, probe: &mut RunProbe) -> Result<System
 }
 
 fn run_topology(topo: &Topology, probe: Option<&mut RunProbe>) -> Result<SystemReport, RunError> {
-    run_planned(
-        &topo.system,
-        &topo.fabric,
-        &topo.reqs(),
-        probe,
-        || crate::cache::topology_key(topo),
-        || crate::cache::placeholder_topology(topo),
-    )
+    run_planned(&topo.system, &topo.fabric, &topo.reqs(), probe)
 }
 
 /// The gate in front of the run loop: plans the fabric once, has the DRC
 /// judge that plan — empty and malformed topologies are typed rejections,
-/// never panics — and runs it. Probed runs NEVER consult the cache: a
-/// [`RunProbe`] captures bus-level event streams reports don't carry,
-/// and the differential oracle must re-execute runs independently, not
-/// read back its own answers. Fault-injected runs bypass it too: their
-/// reports depend on the [`FaultSpec`], which is deliberately not part
-/// of the key canon. Every other run is served by key when a
-/// [`crate::cache::RunCache`] is installed.
+/// never panics — and runs it.
 fn run_planned(
     sys: &SystemConfig,
     fabric: &FabricSpec,
     reqs: &[(SystemKind, &Kernel)],
     probe: Option<&mut RunProbe>,
-    key: impl FnOnce() -> simkit_cache::Digest,
-    placeholder: impl FnOnce() -> SystemReport,
 ) -> Result<SystemReport, RunError> {
     let placement = Placement::new(sys, fabric, reqs);
     let drc = drc::check_plan(sys, reqs, &placement);
     if !drc.is_clean() {
         return Err(RunError::Drc(drc));
-    }
-    if probe.is_none() && sys.fault.is_none() {
-        if let Some(rc) = crate::cache::active() {
-            return rc.run_report(key(), placeholder, || {
-                run_fabric(sys, reqs, &placement, None)
-            });
-        }
     }
     run_fabric(sys, reqs, &placement, probe)
 }

@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 use axi_proto::{AxiChannels, BBeat, PackMode};
 use banked_mem::{BankedMemory, Storage, WordResp};
 use simkit::fault::FaultSpec;
-use simkit::{Histogram, RoundRobin};
+use simkit::RoundRobin;
 
 use crate::base::BaseConverter;
 use crate::indirect::{IndirectReadConverter, IndirectWriteConverter};
@@ -65,10 +65,6 @@ pub struct Adapter {
     word_reads: u64,
     word_writes: u64,
     cycles: u64,
-    /// Burst-length distribution of accepted packed bursts (beats).
-    packed_burst_beats: Histogram,
-    /// Burst-length distribution of accepted plain AXI4 bursts (beats).
-    plain_burst_beats: Histogram,
 }
 
 /// Outstanding-transaction capacity of the base converter. Sixteen is
@@ -102,8 +98,6 @@ impl Adapter {
             word_reads: 0,
             word_writes: 0,
             cycles: 0,
-            packed_burst_beats: Histogram::new("packed_burst_beats"),
-            plain_burst_beats: Histogram::new("plain_burst_beats"),
         }
     }
 
@@ -163,12 +157,7 @@ impl Adapter {
                 }
             };
             if accepted {
-                let ar = ports.ar.pop().expect("peeked");
-                if ar.pack_mode().is_some() {
-                    self.packed_burst_beats.record(ar.beats as u64);
-                } else {
-                    self.plain_burst_beats.record(ar.beats as u64);
-                }
+                ports.ar.pop().expect("peeked");
             }
         }
         // 2b. Accept one AW.
@@ -190,12 +179,7 @@ impl Adapter {
             };
             if let Some(c) = consumer {
                 self.w_route.push_back((c, beats));
-                let aw = ports.aw.pop().expect("peeked");
-                if aw.pack_mode().is_some() {
-                    self.packed_burst_beats.record(aw.beats as u64);
-                } else {
-                    self.plain_burst_beats.record(aw.beats as u64);
-                }
+                ports.aw.pop().expect("peeked");
             }
         }
         // 3. Route one W beat in AW order.
@@ -441,16 +425,6 @@ impl Adapter {
     pub fn cycles(&self) -> u64 {
         self.cycles
     }
-
-    /// Burst-length distribution of accepted packed bursts.
-    pub fn packed_burst_beats(&self) -> &Histogram {
-        &self.packed_burst_beats
-    }
-
-    /// Burst-length distribution of accepted plain AXI4 bursts.
-    pub fn plain_burst_beats(&self) -> &Histogram {
-        &self.plain_burst_beats
-    }
 }
 
 #[cfg(test)]
@@ -628,36 +602,19 @@ mod tests {
         assert_eq!(beats.iter().filter(|b| b.id.0 == 1).count(), 8);
         assert_eq!(beats.iter().filter(|b| b.id.0 == 2).count(), 8);
     }
-}
-
-#[cfg(test)]
-mod histogram_tests {
-    use super::*;
-    use axi_proto::{ArBeat, BusConfig, ElemSize};
 
     #[test]
-    fn burst_length_histograms_classify_traffic() {
-        let cfg = CtrlConfig::new(BusConfig::new(256), banked_mem::BankConfig::default(), 4);
-        let mut adapter = Adapter::new(cfg, Storage::new(1 << 16));
-        let mut ports = AxiChannels::new();
+    fn plain_and_packed_reads_drain_their_beats() {
+        let (mut adapter, mut ports) = mk();
         let bus = BusConfig::new(256);
         ports.ar.push(ArBeat::incr(0, 0, 4, &bus));
         ports.ar.end_cycle();
         ports
             .ar
             .push(ArBeat::packed_strided(1, 0, 64, ElemSize::B4, 2, &bus));
-        let mut cycles = 0;
-        while !(adapter.quiescent() && ports.is_empty()) {
-            ports.r.pop();
-            adapter.tick(&mut ports);
-            adapter.end_cycle();
-            ports.end_cycle();
-            cycles += 1;
-            assert!(cycles < 1000);
-        }
-        assert_eq!(adapter.plain_burst_beats().count(), 1);
-        assert_eq!(adapter.packed_burst_beats().count(), 1);
-        assert_eq!(adapter.packed_burst_beats().max(), 8);
-        assert!((adapter.plain_burst_beats().mean() - 4.0).abs() < 1e-12);
+        let beats = run_until_quiescent(&mut adapter, &mut ports, 1000);
+        assert_eq!(beats.iter().filter(|b| b.id.0 == 0).count(), 4);
+        assert_eq!(beats.iter().filter(|b| b.id.0 == 1).count(), 8);
+        assert_eq!(beats.len(), 12);
     }
 }

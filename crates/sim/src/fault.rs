@@ -82,7 +82,7 @@ impl SplitMix64 {
 /// operations at that site.
 ///
 /// `Copy` on purpose — this rides inside run configurations that are
-/// themselves `Copy` and hashed into sweep/cache keys.
+/// themselves `Copy`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpec {
     /// Root seed; each site derives an independent splitmix64 stream from

@@ -63,5 +63,5 @@ pub use fault::{FaultReport, FaultSpec, HangComponent, HangReport, SiteSchedule}
 pub use fifo::Fifo;
 pub use pipeline::Pipeline;
 pub use sched::Wake;
-pub use stats::{Histogram, Utilization};
+pub use stats::Utilization;
 pub use sweep::{PointCtx, SweepSpec};

@@ -1,4 +1,4 @@
-//! Simulation statistics: channel-utilization trackers and histograms.
+//! Simulation statistics: channel-utilization trackers.
 //!
 //! [`Utilization`] implements the paper's headline metric — R-channel
 //! payload bytes over theoretical bus bytes (Fig. 3a, Fig. 5a/5b).
@@ -145,144 +145,5 @@ mod tests {
         u.record_idle();
         assert!((u.busy_fraction() - 0.25).abs() < 1e-12);
         assert!((u.payload_fraction() - 0.25).abs() < 1e-12);
-    }
-}
-
-/// A power-of-two-bucketed histogram for burst lengths and queue depths.
-///
-/// Bucket *k* counts values in `[2^k, 2^(k+1))`, with bucket 0 counting
-/// values 0 and 1. Useful for characterizing traffic — e.g. the burst
-/// length distribution a workload presents to the AXI-Pack controller.
-///
-/// # Examples
-///
-/// ```
-/// use simkit::stats::Histogram;
-///
-/// let mut h = Histogram::new("burst_beats");
-/// h.record(1);
-/// h.record(6);
-/// h.record(6);
-/// assert_eq!(h.count(), 3);
-/// assert_eq!(h.bucket_counts()[2], 2); // 4..8
-/// ```
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    name: &'static str,
-    buckets: [u64; 32],
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new(name: &'static str) -> Self {
-        Histogram {
-            name,
-            buckets: [0; 32],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    /// Records one value.
-    #[inline]
-    pub fn record(&mut self, value: u64) {
-        let bucket = (64 - value.max(1).leading_zeros() - 1).min(31) as usize;
-        self.buckets[bucket] += 1;
-        self.count += 1;
-        self.sum += value;
-        self.max = self.max.max(value);
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the recorded values (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Largest recorded value.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Raw bucket counts; bucket k covers `[2^k, 2^(k+1))`.
-    pub fn bucket_counts(&self) -> &[u64; 32] {
-        &self.buckets
-    }
-
-    /// Histogram name, for reports.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-}
-
-impl std::fmt::Display for Histogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}: n={} mean={:.1} max={}",
-            self.name,
-            self.count,
-            self.mean(),
-            self.max
-        )?;
-        if self.count > 0 {
-            let top = self.buckets.iter().rposition(|c| *c > 0).unwrap_or(0);
-            for (k, c) in self.buckets[..=top].iter().enumerate() {
-                write!(f, " [{}..{}):{}", 1u64 << k, 1u64 << (k + 1), c)?;
-            }
-        }
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod histogram_tests {
-    use super::Histogram;
-
-    #[test]
-    fn buckets_are_power_of_two_ranges() {
-        let mut h = Histogram::new("t");
-        for v in [0u64, 1, 2, 3, 4, 7, 8, 255, 256] {
-            h.record(v);
-        }
-        let b = h.bucket_counts();
-        assert_eq!(b[0], 2); // 0, 1
-        assert_eq!(b[1], 2); // 2, 3
-        assert_eq!(b[2], 2); // 4, 7
-        assert_eq!(b[3], 1); // 8
-        assert_eq!(b[7], 1); // 255
-        assert_eq!(b[8], 1); // 256
-        assert_eq!(h.max(), 256);
-    }
-
-    #[test]
-    fn mean_and_display() {
-        let mut h = Histogram::new("beats");
-        h.record(2);
-        h.record(6);
-        assert!((h.mean() - 4.0).abs() < 1e-12);
-        let s = h.to_string();
-        assert!(s.contains("beats"));
-        assert!(s.contains("n=2"));
-    }
-
-    #[test]
-    fn empty_histogram_is_sane() {
-        let h = Histogram::new("e");
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.max(), 0);
     }
 }
